@@ -24,7 +24,7 @@ from . import records as rec
 from . import report as rpt
 from .errors import NumericalError, ValidationError
 from .linalg import DEFAULT_TOL, stationary_state
-from .network import build_generator, build_projection, build_record_map, channel_counts, load_network
+from .network import build_generator, build_record_map, channel_counts, load_network
 
 
 def _read_model(path: str):
@@ -48,13 +48,12 @@ def _model_section(net) -> dict:
 
 def _kernel_section(net, tol: float) -> dict:
     e, e0 = channel_counts(net)
-    basis = comp.generator_preserving_basis(net, tol)
     D = build_record_map(net, net.records)
     verdict = comp.completeness_test(net, D, tol)
     out = {
         "E": e,
         "E0": e0,
-        "dim_ker_P": basis.dim,
+        "dim_ker_P": e - e0,
         "d_lost": verdict.lost_rank,
         "complete": verdict.complete,
         "witness": None,
@@ -108,7 +107,6 @@ def cmd_diagnose(args) -> dict:
     if not targets:
         raise ValidationError("at least one --target record is required")
     D_meas = build_record_map(net, measured)
-    remaining = comp.remaining_kernel(net, D_meas, tol)
     report = rpt.new_report("diagnose", {"rank_tol": tol})
     report["model"] = _model_section(net)
     entries = []
@@ -128,7 +126,7 @@ def cmd_diagnose(args) -> dict:
         entries.append(entry)
     report["diagnosis"] = {
         "measured": list(measured),
-        "remaining_dim": remaining.dim,
+        "remaining_dim": comp._remaining_dim(net, D_meas, tol),
         "targets": entries,
         "method": "analytic",
     }

@@ -9,6 +9,9 @@ witness direction.  ``remaining_kernel`` and ``predictability_test`` answer
 the follow-up question: given some measured records, which further records
 are already pinned down?
 
+P groups channels by transition, so restricting a record map to ker P
+subtracts each transition's mean increment: O(q E), no decomposition of P.
+
 ``quotient_form`` builds the effective quadratic fluctuation cost of the
 transition totals, obtained by minimizing a diagonal channel-current cost
 over all redistributions producing the same totals.
@@ -16,13 +19,21 @@ over all redistributions producing the same totals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import DEFAULT_TOL, KernelBasis, kernel_basis, stationary_state
-from .network import ChannelNetwork, RecordMap, build_generator, build_projection
+from .linalg import DEFAULT_TOL, KernelBasis, numerical_rank, stationary_state
+from .network import (
+    ChannelArrays,
+    ChannelNetwork,
+    RecordMap,
+    build_generator,
+    build_projection,
+    channel_counts,
+)
 
 __all__ = [
     "CompletenessVerdict",
@@ -83,10 +94,20 @@ def generator_preserving_basis(net: ChannelNetwork, tol: float = DEFAULT_TOL) ->
     """Orthonormal basis of ker P, the generator-invisible channel space.
 
     Its dimension is exactly E - E0: one independent redistribution per
-    excess channel on a transition.
+    excess channel on a transition.  A transition's k channels (in channel
+    order) get the k - 1 Helmert columns, so the basis is exact and ``tol``
+    is only recorded.
     """
-    proj = build_projection(net)
-    return kernel_basis(proj.P, tol)
+    a = net.arrays
+    V = np.zeros((net.n_channels, net.n_channels - len(a.counts)))
+    col = 0
+    for group in np.split(np.argsort(a.transition, kind="stable"), np.cumsum(a.counts)[:-1]):
+        for j in range(1, len(group)):
+            V[group[:j], col] = 1.0 / math.sqrt(j * (j + 1))
+            V[group[j], col] = -j / math.sqrt(j * (j + 1))
+            col += 1
+    V.flags.writeable = False
+    return KernelBasis(vectors=V, dim=V.shape[1], tolerance=tol)
 
 
 def _fix_sign(c: np.ndarray) -> np.ndarray:
@@ -96,29 +117,34 @@ def _fix_sign(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _kernel_verdict(D: np.ndarray, K: KernelBasis, scale_tol: float) -> CompletenessVerdict:
-    """Verdict for D restricted to the kernel spanned by K's columns.
+def _restricted_rank(D: np.ndarray, DK: np.ndarray, dim: int, tol: float):
+    """(rank, Vh) of DK, the rows of D projected onto a kernel of dimension dim.
 
-    The threshold is relative to the largest singular value of D itself, so
+    Singular values count against tol times the largest one of D itself, so
     an exactly annihilated kernel compares against the record scale rather
     than against roundoff noise.
     """
-    if K.dim == 0 or D.shape[0] == 0:
-        return CompletenessVerdict(complete=True, witness=None, lost_rank=0)
-    smax_D = float(np.linalg.svd(D, compute_uv=False)[0]) if D.size else 0.0
-    if smax_D == 0.0:
-        return CompletenessVerdict(complete=True, witness=None, lost_rank=0)
-    M = D @ K.vectors
-    U, s, Vh = np.linalg.svd(M)
-    thresh = scale_tol * smax_D
-    lost = int(np.sum(s > thresh))
+    if dim == 0 or D.shape[0] == 0:
+        return 0, None
+    smax_D = float(np.linalg.svd(D, compute_uv=False)[0])
+    _, s, Vh = np.linalg.svd(DK, full_matrices=False)
+    return min(int(np.sum(s > tol * smax_D)), dim), Vh
+
+
+def _kernel_verdict(D: np.ndarray, DK: np.ndarray, dim: int, tol: float) -> CompletenessVerdict:
+    lost, Vh = _restricted_rank(D, DK, dim, tol)
     if lost == 0:
         return CompletenessVerdict(complete=True, witness=None, lost_rank=0)
-    c = _fix_sign(K.vectors @ Vh[0])
+    c = _fix_sign(Vh[0].copy())
     c.flags.writeable = False
     image = D @ c
     image.flags.writeable = False
     return CompletenessVerdict(complete=False, witness=c, lost_rank=lost, witness_image=image)
+
+
+def _hidden_dim(net: ChannelNetwork) -> int:
+    e, e0 = channel_counts(net)
+    return e - e0
 
 
 def completeness_test(net: ChannelNetwork, D, tol: float = DEFAULT_TOL) -> CompletenessVerdict:
@@ -130,29 +156,50 @@ def completeness_test(net: ChannelNetwork, D, tol: float = DEFAULT_TOL) -> Compl
     component is positive).
     """
     Dm = _record_matrix(D, net.n_channels, "record map")
-    K = generator_preserving_basis(net, tol)
-    return _kernel_verdict(Dm, K, tol)
+    return _kernel_verdict(Dm, net.arrays.centred(Dm), _hidden_dim(net), tol)
+
+
+def _measured_rows(net: ChannelNetwork, D_meas, tol: float) -> np.ndarray:
+    """Orthonormal rows spanning the centred D_meas, one per unit of its rank."""
+    Dm = _record_matrix(D_meas, net.n_channels, "measured record map")
+    rank, Vh = _restricted_rank(Dm, net.arrays.centred(Dm), _hidden_dim(net), tol)
+    return Vh[:rank] if rank else np.zeros((0, net.n_channels))
+
+
+def _remaining_dim(net: ChannelNetwork, D_meas, tol: float = DEFAULT_TOL) -> int:
+    """Dimension of ``remaining_kernel``: (E - E0) - rank(centred D_meas)."""
+    return _hidden_dim(net) - len(_measured_rows(net, D_meas, tol))
 
 
 def remaining_kernel(net: ChannelNetwork, D_meas, tol: float = DEFAULT_TOL) -> KernelBasis:
     """Generator-invisible directions not resolved by the measured records.
 
-    The kernel of the stacked matrix [P; D_meas]; empty measured rows give
-    back the full generator-preserving basis.
+    The kernel of the stacked matrix [P; D_meas]: the generator-preserving
+    directions orthogonal to the centred measured rows.  Empty measured rows
+    give back the full generator-preserving basis.
     """
-    Dm = _record_matrix(D_meas, net.n_channels, "measured record map")
-    proj = build_projection(net)
-    stacked = np.vstack([proj.P, Dm])
-    return kernel_basis(stacked, tol)
+    Q = _measured_rows(net, D_meas, tol)
+    K = generator_preserving_basis(net, tol)
+    if len(Q) == 0:
+        return K
+    _, _, Vh = np.linalg.svd(Q @ K.vectors)
+    basis = K.vectors @ Vh[len(Q):].T
+    basis.flags.writeable = False
+    return KernelBasis(vectors=basis, dim=basis.shape[1], tolerance=tol)
 
 
 def predictability_test(
     net: ChannelNetwork, D_meas, D_tar, tol: float = DEFAULT_TOL
 ) -> CompletenessVerdict:
-    """Is the target record fixed once the generator and D_meas are known?"""
+    """Is the target record fixed once the generator and D_meas are known?
+
+    Decided like ``completeness_test`` on the centred target rows with their
+    component along the centred measured rows removed.
+    """
     Dt = _record_matrix(D_tar, net.n_channels, "target record map")
-    K = remaining_kernel(net, D_meas, tol)
-    return _kernel_verdict(Dt, K, tol)
+    Q = _measured_rows(net, D_meas, tol)
+    Tc = net.arrays.centred(Dt)
+    return _kernel_verdict(Dt, Tc - (Tc @ Q.T) @ Q, _hidden_dim(net) - len(Q), tol)
 
 
 def quotient_form(net: ChannelNetwork, R_inv=None) -> QuotientForm:
@@ -161,12 +208,15 @@ def quotient_form(net: ChannelNetwork, R_inv=None) -> QuotientForm:
     R_inv is the diagonal channel-current covariance; by default the
     stationary channel traffic rate_e * p_from(e), the independent-Poisson
     choice.  Supplying R_inv (a positive diagonal, as a vector or a diagonal
-    matrix) overrides it.
+    matrix) overrides it.  P R_inv P^T is diagonal, holding the per-transition
+    sums of R_inv, so Q is their reciprocal; as in a pseudoinverse at rcond
+    1e-10, a sum at most 1e-10 times the largest gives 0.
     """
     e = net.n_channels
+    arrays = net.arrays
     if R_inv is None:
         p = stationary_state(build_generator(net)).p
-        diag = np.array([ch.rate * p[ch.from_state] for ch in net.channels])
+        diag = arrays.rate * p[arrays.from_state]
         source = "stationary_traffic"
         if not np.all(diag > 0):
             raise ValidationError(
@@ -185,10 +235,9 @@ def quotient_form(net: ChannelNetwork, R_inv=None) -> QuotientForm:
         source = "user_supplied"
         if not np.all(diag > 0):
             raise ValidationError("R_inv diagonal must be strictly positive")
-    P = build_projection(net).P
-    G = (P * diag) @ P.T
-    Q = np.linalg.pinv(G, rcond=DEFAULT_TOL)
-    Q = 0.5 * (Q + Q.T)
+    g = ChannelArrays.sum_by(diag[None, :], arrays.transition, len(arrays.counts))[0]
+    kept = g > DEFAULT_TOL * g.max()
+    Q = np.diag(np.divide(1.0, g, out=np.zeros_like(g), where=kept))
     Q.flags.writeable = False
     return QuotientForm(Q=Q, R_inv_source=source)
 
@@ -209,9 +258,9 @@ def first_order_record_change(net: ChannelNetwork, c, p, mu: str) -> float:
     pv = np.asarray(p, dtype=float)
     if pv.shape != (net.n_states,):
         raise ValidationError("probability vector has wrong length")
-    return float(
-        np.sum([ch.increment(mu) * cv[e] * pv[ch.from_state] for e, ch in enumerate(net.channels)])
-    )
+    arrays = net.arrays
+    d = arrays.increments[net.records.index(mu)]
+    return float(np.sum(d * cv * pv[arrays.from_state]))
 
 
 def velocity_only_kernel_dim(net: ChannelNetwork, tol: float = DEFAULT_TOL) -> int:
@@ -219,8 +268,7 @@ def velocity_only_kernel_dim(net: ChannelNetwork, tol: float = DEFAULT_TOL) -> i
 
     Informational count only.  Knowing just an instantaneous state velocity
     (instead of the full generator) additionally hides closed loops through
-    the transition network; this reports the combined dimension.
+    the transition network; this reports the combined dimension.  P has
+    full row rank, so this is E - rank(B) on the N x E0 incidence matrix B.
     """
-    proj = build_projection(net)
-    K = kernel_basis(proj.B @ proj.P, tol)
-    return K.dim
+    return net.n_channels - numerical_rank(build_projection(net).B, tol)

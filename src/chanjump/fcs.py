@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .linalg import drazin_inverse, stationary_state
-from .network import ChannelNetwork, build_generator
+from .network import ChannelArrays, ChannelNetwork, build_generator
 
 __all__ = [
     "CumulantReport",
@@ -67,8 +67,13 @@ def _check_fields(net: ChannelNetwork, chi: Mapping[str, float]) -> None:
             raise ValidationError(f"unknown record name {key!r} in counting field")
 
 
-def _channel_exponent(ch, chi: Mapping[str, float]) -> float:
-    return math.fsum(chi_val * ch.increment(rec) for rec, chi_val in chi.items())
+def _tilt_factors(net: ChannelNetwork, chi: Mapping[str, float]) -> list[float]:
+    """exp(chi . d_e) for every channel, refusing exponents that overflow."""
+    exponents = net.arrays.weighted([net.records.index(r) for r in chi], list(chi.values()))
+    for x in exponents:
+        if x > _MAX_EXPONENT:
+            raise NumericalError(f"counting-field exponent {x:g} overflows; use smaller fields")
+    return [math.exp(x) for x in exponents]
 
 
 def tilted_generator(net: ChannelNetwork, chi: Mapping[str, float]) -> np.ndarray:
@@ -79,17 +84,10 @@ def tilted_generator(net: ChannelNetwork, chi: Mapping[str, float]) -> np.ndarra
     state generator.
     """
     _check_fields(net, chi)
-    n = net.n_states
-    base = build_generator(net).matrix
-    M = np.array(base)
+    M = np.array(build_generator(net).matrix)
     off: dict[tuple[int, int], list[float]] = {}
-    for ch in net.channels:
-        x = _channel_exponent(ch, chi)
-        if x > _MAX_EXPONENT:
-            raise NumericalError(
-                f"counting-field exponent {x:g} overflows; use smaller fields"
-            )
-        off.setdefault((ch.to_state, ch.from_state), []).append(ch.rate * math.exp(x))
+    for ch, factor in zip(net.channels, _tilt_factors(net, chi)):
+        off.setdefault((ch.to_state, ch.from_state), []).append(ch.rate * factor)
     for (i, j), terms in off.items():
         M[i, j] = math.fsum(terms)
     return M
@@ -104,53 +102,43 @@ def tilt_derivatives(net: ChannelNetwork, mu: str, nu: str) -> tuple[np.ndarray,
     for rec in (mu, nu):
         if rec not in net.records:
             raise ValidationError(f"unknown record name {rec!r}")
+    a = net.arrays
     n = net.n_states
-    L1 = np.zeros((n, n))
-    L2 = np.zeros((n, n))
-    for ch in net.channels:
-        dmu = ch.increment(mu)
-        dnu = ch.increment(nu)
-        L1[ch.to_state, ch.from_state] += ch.rate * dmu
-        L2[ch.to_state, ch.from_state] += ch.rate * dmu * dnu
-    return L1, L2
-
-
-def _first_derivative(net: ChannelNetwork, mu: str) -> np.ndarray:
-    n = net.n_states
-    L1 = np.zeros((n, n))
-    for ch in net.channels:
-        L1[ch.to_state, ch.from_state] += ch.rate * ch.increment(mu)
-    return L1
+    w_mu = a.rate * a.increments[net.records.index(mu)]
+    w_munu = w_mu * a.increments[net.records.index(nu)]
+    cells = a.to_state * n + a.from_state
+    L1, L2 = ChannelArrays.sum_by(np.vstack([w_mu, w_munu]), cells, n * n)
+    return L1.reshape(n, n), L2.reshape(n, n)
 
 
 def mean_currents(net: ChannelNetwork) -> dict[str, float]:
-    """Stationary mean rate of every declared record."""
+    """Stationary mean rate of every declared record: D (rate * p_from)."""
+    a = net.arrays
     p = stationary_state(build_generator(net)).p
-    one = np.ones(net.n_states)
-    return {rec: float(one @ _first_derivative(net, rec) @ p) for rec in net.records}
+    means = a.increments @ (a.rate * p[a.from_state])
+    return {rec: float(m) for rec, m in zip(net.records, means)}
 
 
 def noise_matrix(net: ChannelNetwork) -> np.ndarray:
     """Zero-frequency record-noise matrix at stationarity.
 
     S_munu = 1.L_munu.p - 1.(L_mu R L_nu + L_nu R L_mu).p with R the Drazin
-    inverse; symmetric and positive semidefinite.
+    inverse; symmetric and positive semidefinite.  Over the channel arrays
+    this is S = D W D^T - A R B^T - (A R B^T)^T with W = diag(rate p_from),
+    A the rate-weighted increments summed by source state (1.L_mu) and B the
+    flux-weighted increments summed by destination state (L_nu p).
     """
+    a = net.arrays
     L = build_generator(net)
     ss = stationary_state(L)
     R = drazin_inverse(L, ss)
-    p = ss.p
-    one = np.ones(net.n_states)
-    q = len(net.records)
-    firsts = [_first_derivative(net, rec) for rec in net.records]
-    S = np.zeros((q, q))
-    for i in range(q):
-        for j in range(i, q):
-            _, Lij = tilt_derivatives(net, net.records[i], net.records[j])
-            val = one @ Lij @ p - one @ (firsts[i] @ R @ firsts[j] + firsts[j] @ R @ firsts[i]) @ p
-            S[i, j] = val
-            S[j, i] = val
-    return S
+    D = a.increments
+    DW = D * (a.rate * ss.p[a.from_state])
+    A = ChannelArrays.sum_by(D * a.rate, a.from_state, net.n_states)
+    B = ChannelArrays.sum_by(DW, a.to_state, net.n_states)
+    C = A @ R @ B.T
+    S = DW @ D.T - C - C.T
+    return 0.5 * (S + S.T)
 
 
 def scgf(net: ChannelNetwork, chi: Mapping[str, float]) -> float:
@@ -230,14 +218,8 @@ def tilted_null_variation(
         raise ValidationError(
             f"perturbation has length {cv.size}, expected {net.n_channels} channels"
         )
+    a = net.arrays
     n = net.n_states
-    M = np.zeros((n, n))
-    for e, ch in enumerate(net.channels):
-        x = _channel_exponent(ch, chi)
-        if x > _MAX_EXPONENT:
-            raise NumericalError(
-                f"counting-field exponent {x:g} overflows; use smaller fields"
-            )
-        M[ch.to_state, ch.from_state] += cv[e] * math.exp(x)
-        M[ch.from_state, ch.from_state] -= cv[e]
-    return M
+    weights = np.concatenate([cv * np.array(_tilt_factors(net, chi)), -cv])
+    cells = np.concatenate([a.to_state * n + a.from_state, a.from_state * (n + 1)])
+    return ChannelArrays.sum_by(weights[None, :], cells, n * n).reshape(n, n)

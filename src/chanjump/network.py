@@ -26,6 +26,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ from .errors import ValidationError
 __all__ = [
     "TransitionChannel",
     "ChannelNetwork",
+    "ChannelArrays",
     "StateGenerator",
     "ProjectionPair",
     "RecordMap",
@@ -99,10 +101,71 @@ class ChannelNetwork:
 
     def transitions(self) -> tuple[tuple[int, int], ...]:
         """Distinct ordered state pairs in first-appearance order."""
-        seen: dict[tuple[int, int], None] = {}
-        for ch in self.channels:
-            seen.setdefault((ch.from_state, ch.to_state), None)
-        return tuple(seen)
+        return self.arrays.transitions
+
+    @cached_property
+    def arrays(self) -> ChannelArrays:
+        """Array view of the channels, built on first use and cached."""
+        return ChannelArrays.of(self)
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelArrays:
+    """The channel list as read-only arrays, one entry (column) per channel.
+
+    ``transition`` indexes ``transitions``, ``counts`` holds the number of
+    channels per transition and ``increments`` is the q x E increment matrix
+    in declared-record order.  P is the grouping of channels by transition:
+    summing columns by group applies P, and subtracting each group's mean
+    projects onto ker P.
+    """
+
+    from_state: np.ndarray
+    to_state: np.ndarray
+    transition: np.ndarray
+    rate: np.ndarray
+    increments: np.ndarray
+    counts: np.ndarray
+    transitions: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, net: ChannelNetwork) -> ChannelArrays:
+        chs = net.channels
+        t_index: dict[tuple[int, int], int] = {}
+        transition = [t_index.setdefault((ch.from_state, ch.to_state), len(t_index)) for ch in chs]
+        r_index = {rec: i for i, rec in enumerate(net.records)}
+        increments = np.zeros((len(net.records), len(chs)))
+        for e, ch in enumerate(chs):
+            for rec, val in ch.increments.items():
+                increments[r_index[rec], e] = float(val)
+        arrays = (
+            np.array([ch.from_state for ch in chs], dtype=np.intp),
+            np.array([ch.to_state for ch in chs], dtype=np.intp),
+            np.array(transition, dtype=np.intp),
+            np.array([ch.rate for ch in chs], dtype=float),
+            increments,
+            np.bincount(transition, minlength=len(t_index)),
+        )
+        for arr in arrays:
+            arr.flags.writeable = False
+        return cls(*arrays, transitions=tuple(t_index))
+
+    @staticmethod
+    def sum_by(X: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+        """Sum the columns of X (r x E) by index value, in channel order: r x size."""
+        r = X.shape[0]
+        flat = (np.arange(r)[:, None] * size + index).ravel()
+        return np.bincount(flat, weights=X.ravel(), minlength=r * size).reshape(r, size)
+
+    def centred(self, X: np.ndarray) -> np.ndarray:
+        """X (r x E) minus its per-transition column means: X projected onto ker P."""
+        means = self.sum_by(X, self.transition, len(self.counts)) / self.counts
+        return X - means[:, self.transition]
+
+    def weighted(self, rows: list[int], weights: list[float]) -> list[float]:
+        """Per channel, the correctly rounded sum of weights . increments[rows]."""
+        columns = self.increments[rows].T.tolist()
+        return [math.fsum(w * x for w, x in zip(weights, col)) for col in columns]
 
 
 def _validate(net: ChannelNetwork) -> None:
@@ -296,12 +359,11 @@ def build_generator(net: ChannelNetwork) -> StateGenerator:
 
 
 def build_projection(net: ChannelNetwork) -> ProjectionPair:
-    transitions = net.transitions()
-    t_index = {t: k for k, t in enumerate(transitions)}
+    arrays = net.arrays
+    transitions = arrays.transitions
     e0, e = len(transitions), net.n_channels
     P = np.zeros((e0, e))
-    for j, ch in enumerate(net.channels):
-        P[t_index[(ch.from_state, ch.to_state)], j] = 1.0
+    P[arrays.transition, np.arange(e)] = 1.0
     B = np.zeros((net.n_states, e0))
     for k, (m, n) in enumerate(transitions):
         B[n, k] = 1.0
@@ -317,18 +379,15 @@ def build_record_map(net: ChannelNetwork, selected: Sequence[str]) -> RecordMap:
     Rows follow the given selection order, columns the canonical channel
     index; increments missing from a channel read as 0.
     """
-    declared = set(net.records)
+    r_index = {rec: i for i, rec in enumerate(net.records)}
     for r in selected:
-        if r not in declared:
+        if r not in r_index:
             raise ValidationError(f"unknown record name {r!r}")
-    D = np.zeros((len(selected), net.n_channels))
-    for i, rec in enumerate(selected):
-        for j, ch in enumerate(net.channels):
-            D[i, j] = ch.increment(rec)
+    D = net.arrays.increments[[r_index[r] for r in selected]]
     D.flags.writeable = False
     return RecordMap(D=D, records=tuple(selected))
 
 
 def channel_counts(net: ChannelNetwork) -> tuple[int, int]:
     """(E, E0): number of channels and of distinct ordered transitions."""
-    return net.n_channels, len(net.transitions())
+    return net.n_channels, len(net.arrays.counts)

@@ -92,7 +92,8 @@ def mean_record(net: ChannelNetwork, p, mu: str) -> float:
     if mu not in net.records:
         raise ValidationError(f"unknown record name {mu!r}")
     pv = _check_probability(net, p)
-    return math.fsum(ch.increment(mu) * ch.rate * pv[ch.from_state] for ch in net.channels)
+    a = net.arrays
+    return math.fsum(a.increments[net.records.index(mu)] * a.rate * pv[a.from_state])
 
 
 def _flux_pairs(net: ChannelNetwork, pv: np.ndarray, coarse: bool):
@@ -167,7 +168,7 @@ def _direction_values(net: ChannelNetwork, a: dict[str, float]) -> list[float]:
     for rec in a:
         if rec not in net.records:
             raise ValidationError(f"unknown record name {rec!r} in direction")
-    return [math.fsum(w * ch.increment(rec) for rec, w in a.items()) for ch in net.channels]
+    return net.arrays.weighted([net.records.index(rec) for rec in a], list(a.values()))
 
 
 def record_interval(net: ChannelNetwork, u, a: dict[str, float]) -> RecordInterval:
@@ -178,25 +179,21 @@ def record_interval(net: ChannelNetwork, u, a: dict[str, float]) -> RecordInterv
     """
     uv, transitions = _check_totals(net, u)
     proj = _direction_values(net, a)
-    lo_terms, hi_terms, tight = [], [], []
-    for k, t in enumerate(transitions):
-        members = [(proj[e], e) for e, ch in enumerate(net.channels)
-                   if (ch.from_state, ch.to_state) == t]
-        vmin, emin = members[0]
-        vmax, emax = members[0]
-        for v, e in members[1:]:
-            if v < vmin:
-                vmin, emin = v, e
-            if v > vmax:
-                vmax, emax = v, e
-        lo_terms.append(uv[k] * vmin)
-        hi_terms.append(uv[k] * vmax)
-        tight.append((t, emin, emax))
+    lows: list = [None] * len(transitions)
+    highs: list = [None] * len(transitions)
+    for e, k in enumerate(net.arrays.transition.tolist()):
+        v = proj[e]
+        if lows[k] is None or v < lows[k][0]:
+            lows[k] = (v, e)
+        if highs[k] is None or v > highs[k][0]:
+            highs[k] = (v, e)
     return RecordInterval(
-        lo=math.fsum(lo_terms),
-        hi=math.fsum(hi_terms),
+        lo=math.fsum(uv[k] * vmin for k, (vmin, _) in enumerate(lows)),
+        hi=math.fsum(uv[k] * vmax for k, (vmax, _) in enumerate(highs)),
         direction=dict(a),
-        tight_channels=tuple(tight),
+        tight_channels=tuple(
+            (t, emin, emax) for t, (_, emin), (_, emax) in zip(transitions, lows, highs)
+        ),
     )
 
 
@@ -212,17 +209,16 @@ def record_hull_summary(net: ChannelNetwork, u, selected) -> tuple[HullSummand, 
     for rec in selected:
         if rec not in declared:
             raise ValidationError(f"unknown record name {rec!r}")
-    out = []
-    for k, t in enumerate(transitions):
-        points: list[tuple[float, ...]] = []
-        for ch in net.channels:
-            if (ch.from_state, ch.to_state) != t:
-                continue
-            vec = tuple(uv[k] * ch.increment(rec) for rec in selected)
-            if vec not in points:
-                points.append(vec)
-        out.append(HullSummand(transition=t, weight=float(uv[k]), points=tuple(points)))
-    return tuple(out)
+    rows = net.arrays.increments[[net.records.index(rec) for rec in selected]]
+    points: list[list[tuple[float, ...]]] = [[] for _ in transitions]
+    for k, col in zip(net.arrays.transition.tolist(), rows.T.tolist()):
+        vec = tuple(uv[k] * x for x in col)
+        if vec not in points[k]:
+            points[k].append(vec)
+    return tuple(
+        HullSummand(transition=t, weight=float(uv[k]), points=tuple(points[k]))
+        for k, t in enumerate(transitions)
+    )
 
 
 def stationary_transition_totals(net: ChannelNetwork) -> np.ndarray:

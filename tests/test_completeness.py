@@ -263,6 +263,24 @@ def test_quotient_symmetry_and_psd(twin_net):
         assert qf.cost(rng.standard_normal(2)) >= 0.0
 
 
+def test_quotient_zeroes_transitions_below_pinv_threshold():
+    # P R_inv P^T is diagonal with the per-transition sums of R_inv; a sum at
+    # most 1e-10 times the largest gets a 0 entry, the rule of
+    # np.linalg.pinv(rcond=1e-10), while a sum just above it is inverted
+    net = make_network(
+        ["a", "b", "c"],
+        [(0, 1, "x", 1.0), (0, 1, "y", 1.0), (1, 2, "x", 1.0), (2, 0, "x", 1.0), (1, 0, "x", 1.0)],
+        [],
+    )
+    qf = quotient_form(net, R_inv=np.array([1.5, 0.5, 2e-10, 1e-12, 3e-10]))
+    assert build_projection(net).transitions == ((0, 1), (1, 2), (2, 0), (1, 0))
+    assert abs(qf.Q[0, 0] - 0.5) < 1e-15
+    assert qf.Q[1, 1] == 0.0  # sum exactly 1e-10 x the largest (2.0)
+    assert qf.Q[2, 2] == 0.0  # sum far below it
+    assert abs(qf.Q[3, 3] * 3e-10 - 1.0) < 1e-12
+    assert not (qf.Q - np.diag(np.diag(qf.Q))).any()
+
+
 def test_quotient_validation(twin_net):
     with pytest.raises(ValidationError, match="positive"):
         quotient_form(twin_net, R_inv=np.array([1.0, -1.0, 1.0, 1.0]))
