@@ -10,6 +10,7 @@ validation, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -254,7 +255,6 @@ def cmd_simulate(args) -> dict:
     finally:
         if dump_handle:
             dump_handle.close()
-    emp = mc.empirical_cumulants(stats)
     occupation = np.sum([st.occupation for st in stats], axis=0)
     total_time = occupation.sum()
     report = rpt.new_report("simulate", {})
@@ -269,6 +269,7 @@ def cmd_simulate(args) -> dict:
         "occupation_fractions": rpt.vector(occupation / total_time) if total_time > 0 else [],
         "method": "monte_carlo",
     }
+    emp = mc.empirical_cumulants(stats) if cfg.t_max is not None else mc._jump_budget_means(stats)
     report["cumulants_monte_carlo"] = rpt.cumulant_section(emp)
     try:
         report["cumulants_analytic"] = rpt.cumulant_section(fcs.analytic_cumulants(net))
@@ -342,8 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import, and reused by every later call
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -48,16 +48,18 @@ class CumulantReport:
     """First two record cumulants with provenance.
 
     ``noise`` is the symmetric zero-frequency noise matrix in the order given
-    by ``records``.  ``method`` is one of "analytic", "finite_difference",
-    "monte_carlo"; the error fields are populated for Monte Carlo only.
+    by ``records``, or None when it cannot be estimated (``note`` says why).
+    ``method`` is one of "analytic", "finite_difference", "monte_carlo"; the
+    error fields are populated for Monte Carlo only.
     """
 
     records: tuple[str, ...]
     means: dict[str, float]
-    noise: np.ndarray
+    noise: np.ndarray | None
     method: str
     mean_errors: dict[str, float] | None = None
     noise_errors: np.ndarray | None = None
+    note: str | None = None
 
 
 def _check_fields(net: ChannelNetwork, chi: Mapping[str, float]) -> None:

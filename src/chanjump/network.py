@@ -234,9 +234,14 @@ def load_network(document: str | bytes | dict) -> ChannelNetwork:
     states = doc["states"]
     if not isinstance(states, list):
         raise ValidationError("'states' must be an array")
+    for name in states:
+        if not isinstance(name, str):
+            raise ValidationError(f"state names must be strings, got {name!r}")
     records = doc["records"]
     if not isinstance(records, list):
         raise ValidationError("'records' must be an array")
+    if not isinstance(doc["channels"], list):
+        raise ValidationError("'channels' must be an array")
     if len(set(states)) != len(states):
         raise ValidationError("duplicate state name")
     if len(states) < 2:
@@ -252,15 +257,18 @@ def load_network(document: str | bytes | dict) -> ChannelNetwork:
             rate = entry["rate"]
         except KeyError as exc:
             raise ValidationError(f"channel {e}: missing key {exc.args[0]!r}") from None
-        if frm not in index:
-            raise ValidationError(f"channel {e}: unknown state {frm!r}")
-        if to not in index:
-            raise ValidationError(f"channel {e}: unknown state {to!r}")
+        for name in (frm, to):
+            if not isinstance(name, str) or name not in index:
+                raise ValidationError(f"channel {e}: unknown state {name!r}")
         if not isinstance(rate, (int, float)) or isinstance(rate, bool):
             raise ValidationError(f"channel {e}: rate must be a number")
         incs = entry.get("increments", {})
         if not isinstance(incs, dict):
             raise ValidationError(f"channel {e}: 'increments' must be an object")
+        try:
+            incs = {str(k): float(v) for k, v in incs.items()}
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"channel {e}: increments must be numbers") from None
         channels.append(
             TransitionChannel(
                 from_state=index[frm],
@@ -268,7 +276,7 @@ def load_network(document: str | bytes | dict) -> ChannelNetwork:
                 reservoir=str(entry.get("reservoir", "")),
                 rate=float(rate),
                 filter=str(entry.get("filter", "")),
-                increments={str(k): float(v) for k, v in incs.items()},
+                increments=incs,
             )
         )
     return ChannelNetwork(states=tuple(states), channels=tuple(channels), records=tuple(records))

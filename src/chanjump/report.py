@@ -35,11 +35,14 @@ def cumulant_section(rep: CumulantReport) -> dict[str, Any]:
         "method": rep.method,
         "records": list(rep.records),
         "means": {k: float(v) for k, v in rep.means.items()},
-        "noise": matrix(rep.noise),
+        "noise": None if rep.noise is None else matrix(rep.noise),
     }
     if rep.mean_errors is not None:
         out["mean_standard_errors"] = {k: float(v) for k, v in rep.mean_errors.items()}
-    if rep.noise_errors is not None:
+    if rep.noise is None:
+        out["noise_standard_errors"] = None
+        out["note"] = rep.note
+    elif rep.noise_errors is not None:
         out["noise_standard_errors"] = matrix(rep.noise_errors)
     return out
 
@@ -71,6 +74,9 @@ def _render_cumulants(section: dict, lines: list[str]) -> None:
         if errs is not None:
             entry += f"  (se {_fmt(errs[rec])})"
         lines.append(entry)
+    if section["noise"] is None:
+        lines.append(f"  noise matrix: not estimated ({section['note']})")
+        return
     lines.append("  noise matrix (record order as above):")
     lines.extend(_render_matrix(section["noise"]))
     if "noise_standard_errors" in section:

@@ -263,3 +263,43 @@ def test_reports_are_bitwise_deterministic(argv, twin_model, tmp_path):
     assert run(args + ["--json", str(out1)]) == 0
     assert run(args + ["--json", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_simulate_jump_budget_reports_pooled_means(twin_model, tmp_path, capsys):
+    out = tmp_path / "s.json"
+    dump = tmp_path / "jumps.txt"
+    assert run([
+        "simulate", twin_model, "--seed", "8", "--trajectories", "40", "--jumps", "300",
+        "--dump", str(dump), "--json", str(out),
+    ]) == 0
+    assert "noise matrix: not estimated" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["simulation"]["horizon_kind"] == "jumps"
+    mc = report["cumulants_monte_carlo"]
+    assert mc["noise"] is None and mc["noise_standard_errors"] is None
+    assert "equal observation windows" in mc["note"]
+    an = report["cumulants_analytic"]
+    for rec in an["records"]:
+        se = mc["mean_standard_errors"][rec]
+        assert se > 0.0
+        assert abs(mc["means"][rec] - an["means"][rec]) <= 5 * se
+    assert sum(1 for line in dump.read_text().splitlines() if not line.startswith("#")) == 40 * 300
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"states": ["a", "b"], "records": ["n"],
+         "channels": [{"from": "a", "to": "b", "reservoir": "r", "rate": 1.0, "increments": {"n": "oops"}}]},
+        {"states": [["a"], "b"], "records": [],
+         "channels": [{"from": "b", "to": "b", "reservoir": "r", "rate": 1.0}]},
+        {"states": ["a", "b"], "records": [], "channels": 5},
+    ],
+    ids=["increment-not-a-number", "state-name-is-a-list", "channels-not-an-array"],
+)
+def test_malformed_documents_are_validation_errors(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "validation error:" in err and "Traceback" not in err
