@@ -209,7 +209,7 @@ def cmd_twin_demo(args) -> dict:
     heat_records = [f"heat_{r.name}" for r in spec.reservoirs]
     Dq_a = fcs.noise_matrix(net)
     Dq_b = fcs.noise_matrix(twin)
-    idx = [net.records.index(r) for r in heat_records]
+    idx = net.record_rows(heat_records)
     S_a = Dq_a[np.ix_(idx, idx)]
     S_b = Dq_b[np.ix_(idx, idx)]
     k_tot = net.records.index("heat_total")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .linalg import DEFAULT_TOL, KernelBasis, numerical_rank, stationary_state
 from .network import (
     ChannelArrays,
@@ -101,7 +101,8 @@ def generator_preserving_basis(net: ChannelNetwork, tol: float = DEFAULT_TOL) ->
     a = net.arrays
     V = np.zeros((net.n_channels, net.n_channels - len(a.counts)))
     col = 0
-    for group in np.split(np.argsort(a.transition, kind="stable"), np.cumsum(a.counts)[:-1]):
+    for lo, hi in a.spans:
+        group = a.grouped[lo:hi]
         for j in range(1, len(group)):
             V[group[:j], col] = 1.0 / math.sqrt(j * (j + 1))
             V[group[j], col] = -j / math.sqrt(j * (j + 1))
@@ -126,8 +127,11 @@ def _restricted_rank(D: np.ndarray, DK: np.ndarray, dim: int, tol: float):
     """
     if dim == 0 or D.shape[0] == 0:
         return 0, None
-    smax_D = float(np.linalg.svd(D, compute_uv=False)[0])
-    _, s, Vh = np.linalg.svd(DK, full_matrices=False)
+    try:
+        smax_D = float(np.linalg.svd(D, compute_uv=False)[0])
+        _, s, Vh = np.linalg.svd(DK, full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # e.g. increments so large that centring overflows
+        raise NumericalError(f"SVD of the record map failed: {exc}") from exc
     return min(int(np.sum(s > tol * smax_D)), dim), Vh
 
 
@@ -248,8 +252,7 @@ def first_order_record_change(net: ChannelNetwork, c, p, mu: str) -> float:
     Evaluates sum_e d_e c_e p_from(e); zero for every p exactly when the
     record is insensitive to the redistribution c.
     """
-    if mu not in net.records:
-        raise ValidationError(f"unknown record name {mu!r}")
+    (row,) = net.record_rows([mu])
     cv = np.asarray(c, dtype=float)
     if cv.shape != (net.n_channels,):
         raise ValidationError(
@@ -259,7 +262,7 @@ def first_order_record_change(net: ChannelNetwork, c, p, mu: str) -> float:
     if pv.shape != (net.n_states,):
         raise ValidationError("probability vector has wrong length")
     arrays = net.arrays
-    d = arrays.increments[net.records.index(mu)]
+    d = arrays.increments[row]
     return float(np.sum(d * cv * pv[arrays.from_state]))
 
 

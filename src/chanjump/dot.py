@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .network import ChannelNetwork, TransitionChannel
+from .network import ChannelNetwork, TransitionChannel, build_generator
 from .records import RecordInterval
 
 __all__ = [
@@ -170,17 +170,13 @@ def build_dot(spec: DotSpec) -> ChannelNetwork:
 
 
 def dot_totals(spec: DotSpec) -> DotTotals:
-    """Per-level entering/leaving rate totals, exactly as the generator sums them."""
-    gp, gm = [], []
-    for i, eps in enumerate(spec.levels):
-        contacts = _level_contacts(spec, i)
-        gp.append(math.fsum(g * fermi(eps, res.mu, res.temperature) for res, _, g in contacts))
-        gm.append(math.fsum(g * (1.0 - fermi(eps, res.mu, res.temperature)) for res, _, g in contacts))
-    plus = np.array(gp)
-    minus = np.array(gm)
-    plus.flags.writeable = False
-    minus.flags.writeable = False
-    return DotTotals(gamma_plus=plus, gamma_minus=minus)
+    """Per-level entering/leaving rate totals, read off the dot's generator."""
+    if not spec.couplings:  # no channels, so no network to build
+        zero = np.zeros(len(spec.levels))
+        zero.flags.writeable = False
+        return DotTotals(gamma_plus=zero, gamma_minus=zero)
+    L = build_generator(build_dot(spec)).matrix
+    return DotTotals(gamma_plus=L[1:, 0], gamma_minus=L[0, 1:])
 
 
 def dot_stationary(totals: DotTotals) -> np.ndarray:
@@ -258,13 +254,8 @@ def make_twin(
         raise ValidationError(f"level {level} out of range")
     members = [e for e, ch in enumerate(net.channels)
                if ch.from_state == 0 and ch.to_state == to_state]
-    er = es = None
-    for e in members:
-        res = net.channels[e].reservoir
-        if er is None and res == gain_res:
-            er = e
-        if es is None and res == lose_res:
-            es = e
+    er = next((e for e in members if net.channels[e].reservoir == gain_res), None)
+    es = next((e for e in members if net.channels[e].reservoir == lose_res), None)
     if er is None:
         raise ValidationError(f"no entering channel for level {level} via {gain_res!r}")
     if es is None:
@@ -360,7 +351,7 @@ def dot_spec_from_document(obj: dict) -> DotSpec:
             for c in obj["couplings"]
         }
         levels = tuple(float(x) for x in obj["levels"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed 'dot' description: {exc}") from exc
     return DotSpec(levels=levels, reservoirs=reservoirs, couplings=couplings)
 

@@ -62,36 +62,25 @@ class CumulantReport:
     note: str | None = None
 
 
-def _check_fields(net: ChannelNetwork, chi: Mapping[str, float]) -> None:
-    declared = set(net.records)
-    for key in chi:
-        if key not in declared:
-            raise ValidationError(f"unknown record name {key!r} in counting field")
-
-
-def _tilt_factors(net: ChannelNetwork, chi: Mapping[str, float]) -> list[float]:
+def _tilt_factors(net: ChannelNetwork, chi: Mapping[str, float]) -> np.ndarray:
     """exp(chi . d_e) for every channel, refusing exponents that overflow."""
-    exponents = net.arrays.weighted([net.records.index(r) for r in chi], list(chi.values()))
+    exponents = net.arrays.weighted(net.record_rows(chi), list(chi.values()))
     for x in exponents:
         if x > _MAX_EXPONENT:
             raise NumericalError(f"counting-field exponent {x:g} overflows; use smaller fields")
-    return [math.exp(x) for x in exponents]
+    return np.array([math.exp(x) for x in exponents])
 
 
 def tilted_generator(net: ChannelNetwork, chi: Mapping[str, float]) -> np.ndarray:
     """Generator with counting-field weights on the off-diagonal entries.
 
-    Off-diagonal (n, m) sums rate * exp(chi . d) over channels m -> n; the
-    diagonal keeps the untilted escape rates, so chi = 0 returns exactly the
-    state generator.
+    Off-diagonal (n, m) is the exact sum of rate * exp(chi . d) over channels
+    m -> n; the diagonal keeps the untilted escape rates, so chi = 0 returns
+    exactly the state generator.
     """
-    _check_fields(net, chi)
-    M = np.array(build_generator(net).matrix)
-    off: dict[tuple[int, int], list[float]] = {}
-    for ch, factor in zip(net.channels, _tilt_factors(net, chi)):
-        off.setdefault((ch.to_state, ch.from_state), []).append(ch.rate * factor)
-    for (i, j), terms in off.items():
-        M[i, j] = math.fsum(terms)
+    a, n = net.arrays, net.n_states
+    M = a.transition_totals(a.rate * _tilt_factors(net, chi), n)
+    M.flat[:: n + 1] = build_generator(net).matrix.flat[:: n + 1]
     return M
 
 
@@ -101,13 +90,11 @@ def tilt_derivatives(net: ChannelNetwork, mu: str, nu: str) -> tuple[np.ndarray,
     Returns (L_mu, L_munu) with off-diagonal entries sum(w d_mu) and
     sum(w d_mu d_nu); diagonals are zero since escape rates are untilted.
     """
-    for rec in (mu, nu):
-        if rec not in net.records:
-            raise ValidationError(f"unknown record name {rec!r}")
+    i, j = net.record_rows([mu, nu])
     a = net.arrays
     n = net.n_states
-    w_mu = a.rate * a.increments[net.records.index(mu)]
-    w_munu = w_mu * a.increments[net.records.index(nu)]
+    w_mu = a.rate * a.increments[i]
+    w_munu = w_mu * a.increments[j]
     cells = a.to_state * n + a.from_state
     L1, L2 = ChannelArrays.sum_by(np.vstack([w_mu, w_munu]), cells, n * n)
     return L1.reshape(n, n), L2.reshape(n, n)
@@ -181,26 +168,21 @@ def cumulants_fd(net: ChannelNetwork, h: float = 1e-4) -> CumulantReport:
     stationary_state(build_generator(net))  # fail early on non-ergodic input
     recs = net.records
     q = len(recs)
-
-    def lam(fields: dict[str, float]) -> float:
-        return scgf(net, fields)
-
-    means = {}
-    for rec in recs:
-        means[rec] = (lam({rec: h}) - lam({rec: -h})) / (2 * h)
+    lam0 = scgf(net, {})
+    up = [scgf(net, {rec: h}) for rec in recs]
+    down = [scgf(net, {rec: -h}) for rec in recs]
+    means = {rec: (u - d) / (2 * h) for rec, u, d in zip(recs, up, down)}
     S = np.zeros((q, q))
     for i, ri in enumerate(recs):
-        S[i, i] = (lam({ri: h}) - 2 * lam({}) + lam({ri: -h})) / h**2
+        S[i, i] = (up[i] - 2 * lam0 + down[i]) / h**2
         for j in range(i + 1, q):
             rj = recs[j]
-            val = (
-                lam({ri: h, rj: h})
-                - lam({ri: h, rj: -h})
-                - lam({ri: -h, rj: h})
-                + lam({ri: -h, rj: -h})
+            S[i, j] = S[j, i] = (
+                scgf(net, {ri: h, rj: h})
+                - scgf(net, {ri: h, rj: -h})
+                - scgf(net, {ri: -h, rj: h})
+                + scgf(net, {ri: -h, rj: -h})
             ) / (4 * h**2)
-            S[i, j] = val
-            S[j, i] = val
     return CumulantReport(records=recs, means=means, noise=S, method="finite_difference")
 
 
@@ -214,7 +196,6 @@ def tilted_null_variation(
     exactly when c preserves per-transition totals, i.e. for every c in
     ker P.
     """
-    _check_fields(net, chi)
     cv = np.asarray(c, dtype=float)
     if cv.shape != (net.n_channels,):
         raise ValidationError(
@@ -222,6 +203,6 @@ def tilted_null_variation(
         )
     a = net.arrays
     n = net.n_states
-    weights = np.concatenate([cv * np.array(_tilt_factors(net, chi)), -cv])
+    weights = np.concatenate([cv * _tilt_factors(net, chi), -cv])
     cells = np.concatenate([a.to_state * n + a.from_state, a.from_state * (n + 1)])
     return ChannelArrays.sum_by(weights[None, :], cells, n * n).reshape(n, n)

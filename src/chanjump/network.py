@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "TransitionChannel",
@@ -99,6 +98,13 @@ class ChannelNetwork:
         except ValueError:
             raise ValidationError(f"unknown state name {name!r}") from None
 
+    def record_rows(self, names: Sequence[str]) -> list[int]:
+        """Rows of the named records in ``arrays.increments``, in the given order."""
+        unknown = [name for name in names if name not in self.records]
+        if unknown:
+            raise ValidationError(f"unknown record name {unknown[0]!r}")
+        return [self.records.index(name) for name in names]
+
     def transitions(self) -> tuple[tuple[int, int], ...]:
         """Distinct ordered state pairs in first-appearance order."""
         return self.arrays.transitions
@@ -117,7 +123,9 @@ class ChannelArrays:
     channels per transition and ``increments`` is the q x E increment matrix
     in declared-record order.  P is the grouping of channels by transition:
     summing columns by group applies P, and subtracting each group's mean
-    projects onto ker P.
+    projects onto ker P.  ``grouped`` lists the channels transition by
+    transition (channel order within one), ``spans`` is each transition's
+    slice of it and ``pairs`` the E0 x 2 array of ``transitions``.
     """
 
     from_state: np.ndarray
@@ -126,7 +134,10 @@ class ChannelArrays:
     rate: np.ndarray
     increments: np.ndarray
     counts: np.ndarray
+    grouped: np.ndarray
+    pairs: np.ndarray
     transitions: tuple[tuple[int, int], ...]
+    spans: tuple[tuple[int, int], ...]
 
     @classmethod
     def of(cls, net: ChannelNetwork) -> ChannelArrays:
@@ -138,17 +149,21 @@ class ChannelArrays:
         for e, ch in enumerate(chs):
             for rec, val in ch.increments.items():
                 increments[r_index[rec], e] = float(val)
+        counts = np.bincount(transition, minlength=len(t_index))
         arrays = (
             np.array([ch.from_state for ch in chs], dtype=np.intp),
             np.array([ch.to_state for ch in chs], dtype=np.intp),
             np.array(transition, dtype=np.intp),
             np.array([ch.rate for ch in chs], dtype=float),
             increments,
-            np.bincount(transition, minlength=len(t_index)),
+            counts,
+            np.argsort(transition, kind="stable"),
+            np.array(list(t_index), dtype=np.intp),
         )
         for arr in arrays:
             arr.flags.writeable = False
-        return cls(*arrays, transitions=tuple(t_index))
+        ends = np.cumsum(counts).tolist()
+        return cls(*arrays, transitions=tuple(t_index), spans=tuple(zip([0] + ends[:-1], ends)))
 
     @staticmethod
     def sum_by(X: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
@@ -162,10 +177,31 @@ class ChannelArrays:
         means = self.sum_by(X, self.transition, len(self.counts)) / self.counts
         return X - means[:, self.transition]
 
+    def transition_totals(self, values: np.ndarray, n_states: int) -> np.ndarray:
+        """n x n matrix of per-transition math.fsum totals of values at (to, from).
+
+        fsum rounds once, so a total does not depend on channel order.  Values
+        are rates: a total beyond the largest double reads inf.
+        """
+        ordered = values[self.grouped].tolist()
+        M = np.zeros((n_states, n_states))
+        M[self.pairs[:, 1], self.pairs[:, 0]] = [_fsum(ordered[a:b]) for a, b in self.spans]
+        return M
+
     def weighted(self, rows: list[int], weights: list[float]) -> list[float]:
         """Per channel, the correctly rounded sum of weights . increments[rows]."""
         columns = self.increments[rows].T.tolist()
-        return [math.fsum(w * x for w, x in zip(weights, col)) for col in columns]
+        try:
+            return [math.fsum(w * x for w, x in zip(weights, col)) for col in columns]
+        except (OverflowError, ValueError):  # finite terms past the largest double, or inf - inf
+            raise NumericalError("weighted record increments exceed the largest double") from None
+
+
+def _fsum(values) -> float:
+    try:
+        return math.fsum(values)
+    except OverflowError:  # finite terms whose exact sum exceeds the largest double
+        return math.inf
 
 
 def _validate(net: ChannelNetwork) -> None:
@@ -262,6 +298,10 @@ def load_network(document: str | bytes | dict) -> ChannelNetwork:
                 raise ValidationError(f"channel {e}: unknown state {name!r}")
         if not isinstance(rate, (int, float)) or isinstance(rate, bool):
             raise ValidationError(f"channel {e}: rate must be a number")
+        try:
+            rate = float(rate)
+        except OverflowError:
+            raise ValidationError(f"channel {e}: rate is too large for a float") from None
         incs = entry.get("increments", {})
         if not isinstance(incs, dict):
             raise ValidationError(f"channel {e}: 'increments' must be an object")
@@ -274,7 +314,7 @@ def load_network(document: str | bytes | dict) -> ChannelNetwork:
                 from_state=index[frm],
                 to_state=index[to],
                 reservoir=str(entry.get("reservoir", "")),
-                rate=float(rate),
+                rate=rate,
                 filter=str(entry.get("filter", "")),
                 increments=incs,
             )
@@ -349,19 +389,18 @@ class RecordMap:
 def build_generator(net: ChannelNetwork) -> StateGenerator:
     """Assemble the state generator from channel rates.
 
-    Per-entry sums use exact accumulation, so the result is bitwise invariant
-    under any permutation of the channel list and under channel-rate
-    redistributions that preserve the exact per-transition totals.
+    Off-diagonal (n, m) is the exact total rate of m -> n and each diagonal
+    entry minus the exact sum of its column, so the result is bitwise
+    invariant under any permutation of the channel list and under rate
+    redistributions that preserve the exact per-transition totals.  An
+    escape rate beyond the largest double is a ValidationError.
     """
     n = net.n_states
-    cells: dict[tuple[int, int], list[float]] = defaultdict(list)
-    for ch in net.channels:
-        cells[(ch.to_state, ch.from_state)].append(ch.rate)
-    L = np.zeros((n, n))
-    for (i, j), rates in cells.items():
-        L[i, j] = math.fsum(rates)
-    for m in range(n):
-        L[m, m] = -math.fsum(L[i, m] for i in range(n) if i != m)
+    L = net.arrays.transition_totals(net.arrays.rate, n)
+    escape = [_fsum(col) for col in L.T.tolist()]
+    if math.inf in escape:
+        raise ValidationError(f"state {net.states[escape.index(math.inf)]!r}: total escape rate overflows")
+    L.flat[:: n + 1] = [-x for x in escape]
     L.flags.writeable = False
     return StateGenerator(matrix=L)
 
@@ -373,9 +412,8 @@ def build_projection(net: ChannelNetwork) -> ProjectionPair:
     P = np.zeros((e0, e))
     P[arrays.transition, np.arange(e)] = 1.0
     B = np.zeros((net.n_states, e0))
-    for k, (m, n) in enumerate(transitions):
-        B[n, k] = 1.0
-        B[m, k] = -1.0
+    B[arrays.pairs[:, 1], np.arange(e0)] = 1.0
+    B[arrays.pairs[:, 0], np.arange(e0)] = -1.0
     P.flags.writeable = False
     B.flags.writeable = False
     return ProjectionPair(P=P, B=B, transitions=transitions)
@@ -387,11 +425,7 @@ def build_record_map(net: ChannelNetwork, selected: Sequence[str]) -> RecordMap:
     Rows follow the given selection order, columns the canonical channel
     index; increments missing from a channel read as 0.
     """
-    r_index = {rec: i for i, rec in enumerate(net.records)}
-    for r in selected:
-        if r not in r_index:
-            raise ValidationError(f"unknown record name {r!r}")
-    D = net.arrays.increments[[r_index[r] for r in selected]]
+    D = net.arrays.increments[net.record_rows(selected)]
     D.flags.writeable = False
     return RecordMap(D=D, records=tuple(selected))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .linalg import stationary_state
 from .network import ChannelNetwork, build_generator
 
@@ -89,11 +89,10 @@ def _check_probability(net: ChannelNetwork, p) -> np.ndarray:
 
 def mean_record(net: ChannelNetwork, p, mu: str) -> float:
     """Mean rate of record mu at occupation p: sum_e d_e rate_e p_from(e)."""
-    if mu not in net.records:
-        raise ValidationError(f"unknown record name {mu!r}")
+    (row,) = net.record_rows([mu])
     pv = _check_probability(net, p)
     a = net.arrays
-    return math.fsum(a.increments[net.records.index(mu)] * a.rate * pv[a.from_state])
+    return math.fsum(a.increments[row] * a.rate * pv[a.from_state])
 
 
 def _flux_pairs(net: ChannelNetwork, pv: np.ndarray, coarse: bool):
@@ -104,25 +103,19 @@ def _flux_pairs(net: ChannelNetwork, pv: np.ndarray, coarse: bool):
     candidates are summed into one effective pair.  Raises when a positive
     rate channel has no structurally declared reverse partner.
     """
-    groups: dict[tuple, dict[str, list[float]]] = {}
+    groups: dict[tuple, tuple[list[float], list[float]]] = {}
     for ch in net.channels:
-        m, n = ch.from_state, ch.to_state
-        lo, hi = (m, n) if m < n else (n, m)
+        lo, hi = sorted((ch.from_state, ch.to_state))
         key = (lo, hi) if coarse else (ch.reservoir, ch.filter, lo, hi)
-        g = groups.setdefault(key, {"fwd": [], "bwd": [], "has_fwd": [], "has_bwd": []})
-        if m == lo:
-            g["fwd"].append(ch.rate * pv[m])
-            g["has_fwd"].append(ch.rate)
-        else:
-            g["bwd"].append(ch.rate * pv[m])
-            g["has_bwd"].append(ch.rate)
-    for key, g in groups.items():
+        groups.setdefault(key, ([], []))[ch.from_state == hi].append(ch.rate)
+    for key, (fwd, bwd) in groups.items():
         if not coarse:
-            if not g["has_bwd"] and any(r > 0 for r in g["has_fwd"]):
+            if not bwd and any(r > 0 for r in fwd):
                 raise ValidationError(f"channel group {key} has no reverse partner")
-            if not g["has_fwd"] and any(r > 0 for r in g["has_bwd"]):
+            if not fwd and any(r > 0 for r in bwd):
                 raise ValidationError(f"channel group {key} has no forward partner")
-        yield key, math.fsum(g["fwd"]), math.fsum(g["bwd"])
+        lo, hi = key[-2:]
+        yield key, math.fsum(r * pv[lo] for r in fwd), math.fsum(r * pv[hi] for r in bwd)
 
 
 def _sigma(pairs) -> tuple[float, list]:
@@ -135,7 +128,10 @@ def _sigma(pairs) -> tuple[float, list]:
             infinite.append(key)
             total = math.inf
             continue
-        total += (fwd - bwd) * math.log(fwd / bwd)
+        ratio = fwd / bwd
+        # where the quotient under- or overflows, the difference of logs does not
+        log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(fwd) - math.log(bwd)
+        total += (fwd - bwd) * log_ratio
     return total, infinite
 
 
@@ -159,16 +155,20 @@ def _check_totals(net: ChannelNetwork, u) -> tuple[np.ndarray, tuple[tuple[int, 
         raise ValidationError(
             f"u has length {uv.size}, expected {len(transitions)} transitions"
         )
-    if uv.min() < 0:
-        raise ValidationError("transition totals must be nonnegative")
+    if not (uv.min() >= 0 and uv.max() < math.inf):  # NaN fails the first test
+        raise ValidationError("transition totals must be finite and nonnegative")
     return uv, transitions
 
 
-def _direction_values(net: ChannelNetwork, a: dict[str, float]) -> list[float]:
-    for rec in a:
-        if rec not in net.records:
-            raise ValidationError(f"unknown record name {rec!r} in direction")
-    return net.arrays.weighted([net.records.index(rec) for rec in a], list(a.values()))
+def _endpoint(terms) -> float:
+    """Exact sum of an interval endpoint's terms; it must be a finite double."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # finite terms past the largest double, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise NumericalError("a record-interval endpoint exceeds the largest double")
+    return total
 
 
 def record_interval(net: ChannelNetwork, u, a: dict[str, float]) -> RecordInterval:
@@ -178,22 +178,16 @@ def record_interval(net: ChannelNetwork, u, a: dict[str, float]) -> RecordInterv
     channels, hi the largest; ties break toward the lowest channel index.
     """
     uv, transitions = _check_totals(net, u)
-    proj = _direction_values(net, a)
-    lows: list = [None] * len(transitions)
-    highs: list = [None] * len(transitions)
-    for e, k in enumerate(net.arrays.transition.tolist()):
-        v = proj[e]
-        if lows[k] is None or v < lows[k][0]:
-            lows[k] = (v, e)
-        if highs[k] is None or v > highs[k][0]:
-            highs[k] = (v, e)
+    proj = net.arrays.weighted(net.record_rows(a), list(a.values()))
+    order = net.arrays.grouped.tolist()
+    # min and max return the first extreme, so ties go to the lowest channel index
+    emin = [min(order[lo:hi], key=proj.__getitem__) for lo, hi in net.arrays.spans]
+    emax = [max(order[lo:hi], key=proj.__getitem__) for lo, hi in net.arrays.spans]
     return RecordInterval(
-        lo=math.fsum(uv[k] * vmin for k, (vmin, _) in enumerate(lows)),
-        hi=math.fsum(uv[k] * vmax for k, (vmax, _) in enumerate(highs)),
+        lo=_endpoint(uv[k] * proj[e] for k, e in enumerate(emin)),
+        hi=_endpoint(uv[k] * proj[e] for k, e in enumerate(emax)),
         direction=dict(a),
-        tight_channels=tuple(
-            (t, emin, emax) for t, (_, emin), (_, emax) in zip(transitions, lows, highs)
-        ),
+        tight_channels=tuple(zip(transitions, emin, emax)),
     )
 
 
@@ -205,19 +199,13 @@ def record_hull_summary(net: ChannelNetwork, u, selected) -> tuple[HullSummand, 
     polytope.
     """
     uv, transitions = _check_totals(net, u)
-    declared = set(net.records)
-    for rec in selected:
-        if rec not in declared:
-            raise ValidationError(f"unknown record name {rec!r}")
-    rows = net.arrays.increments[[net.records.index(rec) for rec in selected]]
-    points: list[list[tuple[float, ...]]] = [[] for _ in transitions]
-    for k, col in zip(net.arrays.transition.tolist(), rows.T.tolist()):
-        vec = tuple(uv[k] * x for x in col)
-        if vec not in points[k]:
-            points[k].append(vec)
+    a = net.arrays
+    columns = a.increments[net.record_rows(selected)][:, a.grouped].T.tolist()
     return tuple(
-        HullSummand(transition=t, weight=float(uv[k]), points=tuple(points[k]))
-        for k, t in enumerate(transitions)
+        HullSummand(transition=t, weight=float(uv[k]), points=tuple(
+            dict.fromkeys(tuple(uv[k] * x for x in col) for col in columns[lo:hi])
+        ))
+        for k, (t, (lo, hi)) in enumerate(zip(transitions, a.spans))
     )
 
 
@@ -225,7 +213,7 @@ def stationary_transition_totals(net: ChannelNetwork) -> np.ndarray:
     """Stationary ordered-transition currents u_t = W_t p_from, canonical order."""
     L = build_generator(net)
     p = stationary_state(L).p
-    transitions = net.transitions()
-    u = np.array([L.matrix[n, m] * p[m] for (m, n) in transitions])
+    frm, to = net.arrays.pairs.T
+    u = L.matrix[to, frm] * p[frm]
     u.flags.writeable = False
     return u

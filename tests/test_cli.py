@@ -303,3 +303,97 @@ def test_malformed_documents_are_validation_errors(doc, tmp_path, capsys):
     assert run(["analyze", str(path)]) == 1
     err = capsys.readouterr().err
     assert "validation error:" in err and "Traceback" not in err
+
+
+def _channel(frm, to, reservoir, rate, **increments):
+    return {"from": frm, "to": to, "reservoir": reservoir, "rate": rate, "increments": increments}
+
+
+_HUGE = 10**400  # a JSON integer too large for a double
+
+_COMMANDS = {
+    "analyze": [],
+    "bounds": ["--direction", "n=1"],
+    "diagnose": ["--measured", "n", "--target", "n"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_huge_integer_rate_is_a_validation_error(command, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "states": ["a", "b"], "records": ["n"],
+        "channels": [_channel("a", "b", "r", _HUGE, n=1.0), _channel("b", "a", "r", 1.0)],
+    }))
+    assert run([command, str(path)] + _COMMANDS[command]) == 1
+    err = capsys.readouterr().err
+    assert "validation error: channel 0: rate is too large" in err and "Traceback" not in err
+
+
+def test_huge_integer_dot_coupling_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "huge_dot.json"
+    path.write_text(json.dumps({"dot": {
+        "levels": [1.0], "reservoirs": [{"name": "L", "mu": 0.0, "T": 1.0}],
+        "couplings": [{"level": 0, "reservoir": "L", "gamma": _HUGE}],
+    }}))
+    assert run(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "validation error: malformed 'dot' description" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "bounds"])
+@pytest.mark.parametrize(
+    "states, channels",
+    [
+        (["a", "b"], [_channel("a", "b", "r", 1e308), _channel("a", "b", "t", 1e308),
+                      _channel("b", "a", "r", 1.0)]),
+        # each transition total is finite, only the diagonal overflows
+        (["a", "b", "c"], [_channel("a", "b", "r", 1e308), _channel("a", "c", "r", 1e308),
+                           _channel("b", "a", "r", 1.0), _channel("c", "a", "r", 1.0)]),
+    ],
+    ids=["one-transition", "escape-only"],
+)
+def test_overflowing_escape_rate_is_a_validation_error(command, states, channels, tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"states": states, "records": ["n"], "channels": channels}))
+    assert run([command, str(path)] + _COMMANDS[command]) == 1
+    err = capsys.readouterr().err
+    assert "validation error: state 'a': total escape rate overflows" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "channels, argv, code",
+    [
+        # resolved flux ratios of 1e-400 and 1e400 under- and overflow a double
+        ([_channel("a", "b", "r", 1e-300), _channel("b", "a", "r", 1e100),
+          _channel("a", "b", "t", 1e100), _channel("b", "a", "t", 1e-300)],
+         ["analyze"], 0),
+        # a transition's increments sum past the largest double while centring
+        ([_channel("b", "a", "t", 1e-300, x=-1e308, y=1e308), _channel("a", "b", "t", 2, x=5e-324, y=0.0),
+          _channel("a", "b", "r", 0.5, x=1e-10, y=0.5), _channel("b", "a", "r", 0, x=0, y=1e308)],
+         ["diagnose", "--measured", "x", "--target", "y"], 2),
+        # the interval's lower end sums past the largest double
+        ([_channel("a", "b", "t", 1e308, x=2), _channel("b", "a", "t", 1e308, x=2)],
+         ["bounds", "--direction", "x=1"], 2),
+        # the direction's projected increment sums past the largest double
+        ([_channel("a", "b", "t", 1.0, x=1e308, y=1e308), _channel("b", "a", "t", 1.0)],
+         ["bounds", "--direction", "x=1", "--direction", "y=1"], 2),
+    ],
+    ids=["entropy-log-ratio", "centring-overflow", "interval-endpoint", "direction-overflow"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns on the inf it meets
+def test_extreme_numbers_give_an_exit_code(channels, argv, code, tmp_path, capsys):
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps({"states": ["a", "b"], "records": ["x", "y"], "channels": channels}))
+    assert run([argv[0], str(path)] + argv[1:]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and (code == 0 or "numerical error:" in err)
+
+
+@pytest.mark.parametrize("u", ["[Infinity, 1.0]", "[NaN, 1.0]"])
+def test_bounds_rejects_non_finite_totals(u, twin_model, tmp_path, capsys):
+    path = tmp_path / "u.json"
+    path.write_text(u)
+    assert run(["bounds", twin_model, "--direction", "heat_total=1", "--u-file", str(path)]) == 1
+    assert "validation error: transition totals must be finite and nonnegative" in capsys.readouterr().err
