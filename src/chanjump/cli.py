@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -284,12 +285,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _open_interval(lo: float, hi: float):
+    """argparse type: a float strictly between lo and hi (so finite, never NaN)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not lo < value < hi:
+            raise argparse.ArgumentTypeError(f"expected a number in ({lo:g}, {hi:g}), got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chanjump", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+        p.add_argument("--tol", type=_open_interval(0.0, 1.0), default=DEFAULT_TOL,
                        help="relative rank/kernel threshold (default 1e-10)")
         p.add_argument("--json", metavar="PATH", default=None,
                        help="write the JSON report to PATH")
@@ -297,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full analytic report for a model file")
     p.add_argument("model")
     p.add_argument("--fd", action="store_true", help="add finite-difference cumulants")
-    p.add_argument("--fd-step", type=float, default=1e-4, help="finite-difference step")
+    p.add_argument("--fd-step", type=_open_interval(0.0, math.inf), default=1e-4,
+                   help="finite-difference step, finite and > 0")
     common(p)
     p.set_defaults(func=cmd_analyze)
 

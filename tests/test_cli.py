@@ -397,3 +397,35 @@ def test_bounds_rejects_non_finite_totals(u, twin_model, tmp_path, capsys):
     path.write_text(u)
     assert run(["bounds", twin_model, "--direction", "heat_total=1", "--u-file", str(path)]) == 1
     assert "validation error: transition totals must be finite and nonnegative" in capsys.readouterr().err
+
+
+def test_noise_past_the_largest_double_is_a_numerical_error(tmp_path, capsys):
+    # increments near 1e308 used to give a NaN noise matrix, exit 0 and bare NaN in the JSON
+    path = tmp_path / "huge_increments.json"
+    path.write_text(json.dumps({"states": ["a", "b"], "records": ["x", "y"], "channels": [
+        _channel("b", "a", "r", 1, x=1, y=1e308), _channel("a", "b", "r", 1),
+        _channel("b", "a", "t", 1, y=1e308),
+    ]}))
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(path), "--json", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical error: noise matrix exceeds the largest double" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--fd-step", "0"], ["--fd-step", "nan"], ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "2"]],
+    ids=["fd-step-zero", "fd-step-nan", "tol-zero", "tol-negative", "tol-nan", "tol-above-one"],
+)
+def test_out_of_range_step_and_tolerance_are_input_errors(flags, twin_model, capsys):
+    assert run(["analyze", twin_model, "--fd"] + flags) == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {flags[0]}: expected a number in" in err and "Traceback" not in err
+
+
+def test_step_whose_square_underflows_is_an_input_error(twin_model, capsys):
+    # 1e-300 is finite and positive, but the stencil divides by its square
+    assert run(["analyze", twin_model, "--fd", "--fd-step", "1e-300"]) == 1
+    err = capsys.readouterr().err
+    assert "validation error: finite-difference step 1e-300 is too small" in err and "Traceback" not in err

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanjump import (
     DotSpec,
@@ -224,6 +226,39 @@ def test_make_twin_random_specs_bitwise():
         eta = float(rng.random()) * lose_rate
         twin = make_twin(net, level, str(gain), str(lose), eta)
         assert np.array_equal(build_generator(twin).matrix, build_generator(net).matrix)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_make_twin_keeps_the_generator_on_random_multi_reservoir_dots(data):
+    # 1-3 levels, 2-3 reservoirs, each contact through filter "" and maybe "x"; eta anywhere in range
+    energy, gamma = st.floats(-3.0, 3.0), st.floats(0.0, 3.0)
+    n_levels = data.draw(st.integers(1, 3))
+    reservoirs = tuple(
+        Reservoir(f"r{k}", data.draw(energy), data.draw(st.floats(0.05, 3.0)))
+        for k in range(data.draw(st.integers(2, 3)))
+    )
+    couplings = {}
+    for i in range(n_levels):
+        for res in reservoirs:
+            couplings[(i, res.name, "")] = data.draw(gamma)
+            if data.draw(st.booleans()):
+                couplings[(i, res.name, "x")] = data.draw(gamma)
+    spec = DotSpec(levels=tuple(data.draw(energy) for _ in range(n_levels)),
+                   reservoirs=reservoirs, couplings=couplings)
+    net = build_dot(spec)
+    level = data.draw(st.integers(0, n_levels - 1))
+    gain, lose = data.draw(st.permutations([r.name for r in reservoirs]))[:2]
+    # make_twin shifts the lowest-index entering channel of each reservoir
+    rate = {
+        res: next(ch.rate for ch in net.channels
+                  if ch.from_state == 0 and ch.to_state == level + 1 and ch.reservoir == res)
+        for res in (gain, lose)
+    }
+    eta = data.draw(st.floats(-rate[gain], rate[lose]))
+    L = build_generator(net).matrix
+    L_twin = build_generator(make_twin(net, level, gain, lose, eta)).matrix
+    assert np.array_equal(L_twin, L) and np.array_equal(np.signbit(L_twin), np.signbit(L))
 
 
 def test_heat_bounds_twin_dot(twin_net, twin_spec):

@@ -5,9 +5,12 @@
 Fermi-sum dot totals the library used before it summed over the transition
 grouping of ``net.arrays``, kept here verbatim as the reference.  math.fsum
 is correctly rounded, so both must agree bit for bit, the sign of every zero
-included.  The property tests check that rescaling every rate by a power of
-two rescales the generator exactly and leaves every verdict alone, and that
-no model document, however extreme its numbers, makes the CLI raise.
+included.  ``reference_cumulants_fd`` is the per-point finite-difference loop
+(one tilted generator and one eigensolve per stencil point) that the stacked
+stencil of ``cumulants_fd`` replaced; means, noise and the first error must
+agree exactly.  The property tests check that rescaling every rate by a power
+of two rescales the generator exactly and leaves every verdict alone, and
+that no model document, however extreme its numbers, makes the CLI raise.
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ from hypothesis import strategies as st
 
 from chanjump import (
     ChannelNetwork,
+    CumulantReport,
     DotSpec,
     Reservoir,
     build_dot,
     build_generator,
     build_record_map,
     completeness_test,
+    cumulants_fd,
     dot_totals,
     make_twin,
     mean_currents,
@@ -46,7 +51,7 @@ from chanjump import (
 )
 from chanjump.cli import main
 from chanjump.dot import _level_contacts, fermi
-from chanjump.errors import NumericalError, ValidationError
+from chanjump.errors import ChanjumpError, NonErgodicError, NumericalError, ValidationError
 
 from conftest import make_network, random_network
 
@@ -155,7 +160,8 @@ def check_generators(net, rng) -> None:
     assert not L.flags.writeable
     a, b, c = net.records
     for chi in ({}, {a: 0.0}, {a: float(rng.normal(0, 0.3))},
-                {b: float(rng.normal(0, 0.3)), c: float(rng.normal(0, 0.3))}):
+                {b: float(rng.normal(0, 0.3)), c: float(rng.normal(0, 0.3))},
+                {a: float(rng.normal(0, 0.3)), b: float(rng.normal(0, 0.3)), c: float(rng.normal(0, 0.3))}):
         assert bitwise_equal(tilted_generator(net, chi), reference_tilted_generator(net, chi))
 
 
@@ -213,6 +219,143 @@ def test_dot_totals_without_couplings_are_zero():
     totals = dot_totals(spec)
     plus, minus = reference_dot_totals(spec)
     assert bitwise_equal(totals.gamma_plus, plus) and bitwise_equal(totals.gamma_minus, minus)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference cumulants: the per-point loop, verbatim, as the reference
+
+
+def reference_scgf(net: ChannelNetwork, chi: Mapping[str, float]) -> float:
+    """The per-point ``scgf``, tilting with the reference assembly above."""
+    M = reference_tilted_generator(net, chi)
+    try:
+        ev = np.linalg.eigvals(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed on tilted generator: {exc}") from exc
+    k = int(np.argmax(ev.real))
+    lam = ev[k]
+    scale = max(1.0, float(np.abs(M).max()))
+    if abs(lam.imag) > 1e-9 * scale:
+        raise NumericalError(
+            f"dominant eigenvalue has imaginary part {lam.imag:g}; network may be reducible"
+        )
+    return float(lam.real)
+
+
+def reference_cumulants_fd(net: ChannelNetwork, h: float = 1e-4):
+    stationary_state(build_generator(net))  # fail early on non-ergodic input
+    recs = net.records
+    q = len(recs)
+    lam0 = reference_scgf(net, {})
+    up = [reference_scgf(net, {rec: h}) for rec in recs]
+    down = [reference_scgf(net, {rec: -h}) for rec in recs]
+    means = {rec: (u - d) / (2 * h) for rec, u, d in zip(recs, up, down)}
+    S = np.zeros((q, q))
+    for i, ri in enumerate(recs):
+        S[i, i] = (up[i] - 2 * lam0 + down[i]) / h**2
+        for j in range(i + 1, q):
+            rj = recs[j]
+            S[i, j] = S[j, i] = (
+                reference_scgf(net, {ri: h, rj: h})
+                - reference_scgf(net, {ri: h, rj: -h})
+                - reference_scgf(net, {ri: -h, rj: h})
+                + reference_scgf(net, {ri: -h, rj: -h})
+            ) / (4 * h**2)
+    return CumulantReport(records=recs, means=means, noise=S, method="finite_difference")
+
+
+def fd_outcome(fd, net, h):
+    """Records, means and noise of one finite-difference evaluation, or its error's type and text."""
+    try:
+        result = fd(net, h)
+    except ChanjumpError as exc:
+        return type(exc), str(exc)
+    return list(result.means), np.array(list(result.means.values())), result.noise
+
+
+def assert_same_fd(net, h) -> bool:
+    """Library and reference agree bitwise; True when both succeeded."""
+    got, want = fd_outcome(cumulants_fd, net, h), fd_outcome(reference_cumulants_fd, net, h)
+    assert len(got) == len(want)
+    if len(want) == 2:
+        assert got == want
+        return False
+    assert got[0] == want[0]
+    assert bitwise_equal(got[1], want[1]) and bitwise_equal(got[2], want[2])
+    return True
+
+
+def fd_network(rng) -> ChannelNetwork:
+    """Two-way ring plus random pairs, 1-4 channels per transition, 1-8 records.
+
+    The first channel of every transition has a positive rate; the others are
+    zero (either sign) about one time in six and otherwise spread over eight
+    decades.  Increments are Gaussian on a random scale, some missing.
+    """
+    n = int(rng.integers(2, 7))
+    records = [f"x{r}" for r in range(int(rng.integers(1, 9)))]
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [((i + 1) % n, i) for i in range(n)]
+    pairs += [tuple(int(x) for x in rng.choice(n, size=2, replace=False)) for _ in range(int(rng.integers(0, n)))]
+    channels = []
+    for m, k in dict.fromkeys(pairs):
+        for copy in range(int(rng.integers(1, 5))):
+            draw = rng.random()
+            if copy and draw < 0.1:
+                rate = 0.0
+            elif copy and draw < 0.17:
+                rate = -0.0
+            else:
+                rate = float(rng.uniform(0.1, 1.0) * 10.0 ** rng.uniform(-4, 4))
+            scale = 10.0 ** rng.uniform(-2, 1)
+            incs = {r: float(scale * rng.standard_normal()) for r in records if rng.random() < 0.8}
+            channels.append((m, k, f"r{copy}", rate, "", incs))
+    return make_network([f"s{i}" for i in range(n)], channels, records)
+
+
+def test_cumulants_fd_matches_the_per_point_loop_on_random_networks():
+    rng = np.random.default_rng(20261019)
+    solved = 0
+    for _ in range(120):
+        net = fd_network(rng)
+        solved += assert_same_fd(net, float(rng.choice([1e-4, 1e-3, 1e-2, 0.1])))
+    assert solved >= 100
+
+
+def test_cumulants_fd_matches_the_per_point_loop_on_the_twin():
+    net = build_dot(twin_dot_spec())
+    for device in (net, make_twin(net, 0, "L", "R", 0.1)):
+        for h in (1e-4, 1e-2):
+            assert assert_same_fd(device, h)
+
+
+def test_cumulants_fd_raises_at_the_first_failing_point():
+    # -h on x and +h on y overflow; the loop meets +h on y before -h on x
+    net = make_network(
+        ["a", "b"],
+        [(0, 1, "r", 1.0, "", {"x": -8.0}), (1, 0, "r", 2.0, "", {"y": 7.5})],
+        ["x", "y"],
+    )
+    assert fd_outcome(cumulants_fd, net, 100.0) == (
+        NumericalError, "counting-field exponent 750 overflows; use smaller fields"
+    )
+    assert_same_fd(net, 100.0)
+    # only the mixed points overflow: 400 + 400 on the (x, y) pair
+    both = make_network(["a", "b"], [(0, 1, "r", 1.0, "", {"x": 1.0, "y": 1.0}), (1, 0, "r", 2.0)], ["x", "y"])
+    assert fd_outcome(cumulants_fd, both, 400.0) == (
+        NumericalError, "counting-field exponent 800 overflows; use smaller fields"
+    )
+    assert_same_fd(both, 400.0)
+
+
+def test_cumulants_fd_errors_match_the_per_point_loop():
+    rng = np.random.default_rng(77)
+    failed = 0
+    for _ in range(40):
+        failed += not assert_same_fd(fd_network(rng), float(rng.choice([300.0, 1e4, 1e308])))
+    assert failed >= 30
+    broken = make_network(["a", "b", "c"], [(0, 1, "r", 1.0, "", {"n": 1.0}), (1, 0, "r", 1.0)], ["n"])
+    assert fd_outcome(cumulants_fd, broken, 1e-4)[0] is NonErgodicError
+    assert not assert_same_fd(broken, 1e-4)
 
 
 # ---------------------------------------------------------------------------

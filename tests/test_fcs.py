@@ -220,6 +220,26 @@ def test_cumulants_fd_zero_increment_record():
     assert abs(rep.noise[i, i]) < 1e-8
 
 
+def test_cumulants_fd_solves_one_stack_per_record(monkeypatch):
+    from chanjump import fcs
+
+    net = random_network(np.random.default_rng(8), n_records=5)
+    calls = {"eigvals": 0, "build_generator": 0}
+    eigvals, build = np.linalg.eigvals, fcs.build_generator
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", eigvals))
+    monkeypatch.setattr(fcs, "build_generator", counted("build_generator", build))
+    cumulants_fd(net)
+    # the per-point loop made 2q + 1 + 2q(q - 1) = 51 solves and as many assemblies
+    assert calls == {"eigvals": 5 + 1, "build_generator": 1}
+
+
 def test_null_variation_shared_increments_vanishes():
     # both channels of the transition carry the same increment
     net = make_network(
