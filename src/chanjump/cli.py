@@ -26,7 +26,7 @@ from . import records as rec
 from . import report as rpt
 from .errors import NumericalError, ValidationError
 from .linalg import DEFAULT_TOL, stationary_state
-from .network import build_generator, build_record_map, channel_counts, load_network
+from .network import build_record_map, channel_counts, load_network
 
 
 def _read_model(path: str):
@@ -35,6 +35,13 @@ def _read_model(path: str):
     except OSError as exc:
         raise ValidationError(f"cannot read model file {path}: {exc}") from exc
     return load_network(text)
+
+
+def _open_for_writing(path: str):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def _model_section(net) -> dict:
@@ -69,9 +76,8 @@ def _kernel_section(net, tol: float) -> dict:
 
 
 def _entropy_section(net) -> dict:
-    p = stationary_state(build_generator(net)).p
     try:
-        ent = rec.entropy_production(net, p)
+        ent = rec.entropy_production(net, net.stationary.p)
     except ValidationError as exc:
         return {"resolved": None, "coarse": None, "note": f"unavailable: {exc}", "method": "analytic"}
     return {
@@ -87,9 +93,8 @@ def cmd_analyze(args) -> dict:
     tol = args.tol
     report = rpt.new_report("analyze", {"rank_tol": tol, "fd_step": args.fd_step})
     report["model"] = _model_section(net)
-    gen = build_generator(net)
-    report["generator"] = {"matrix": rpt.matrix(gen.matrix), "method": "analytic"}
-    ss = stationary_state(gen, tol)
+    report["generator"] = {"matrix": rpt.matrix(net.generator.matrix), "method": "analytic"}
+    ss = stationary_state(net.generator, tol)
     report["stationary"] = {"p": rpt.vector(ss.p), "ergodic": ss.ergodic, "method": "analytic"}
     report["kernel"] = _kernel_section(net, tol)
     report["cumulants_analytic"] = rpt.cumulant_section(fcs.analytic_cumulants(net))
@@ -158,14 +163,19 @@ def cmd_bounds(args) -> dict:
             u = json.loads(Path(args.u_file).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read u file: {exc}") from exc
-        u = np.asarray(u, dtype=float)
+        if not isinstance(u, list) or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in u):
+            raise ValidationError("u file must hold a flat JSON array of numbers")
+        try:
+            u = np.array([float(x) for x in u])
+        except OverflowError:
+            raise ValidationError("u file holds a number too large for a float") from None
         u_source = f"file:{args.u_file}"
     else:
         u = rec.stationary_transition_totals(net)
         u_source = "stationary"
     interval = rec.record_interval(net, u, direction)
     hulls = rec.record_hull_summary(net, u, list(direction))
-    report = rpt.new_report("bounds", {"rank_tol": args.tol})
+    report = rpt.new_report("bounds", {"rank_tol": DEFAULT_TOL})
     report["model"] = _model_section(net)
     report["interval"] = {
         "lo": interval.lo,
@@ -200,11 +210,7 @@ def cmd_twin_demo(args) -> dict:
     )
     net = dotlab.build_dot(spec)
     twin = dotlab.make_twin(net, level=0, gain_res=args.gain, lose_res=args.lose, eta=args.eta)
-    L_a = build_generator(net).matrix
-    L_b = build_generator(twin).matrix
-    bitwise_equal = bool(np.array_equal(L_a, L_b))
-    p_a = stationary_state(L_a).p
-    p_b = stationary_state(L_b).p
+    bitwise_equal = bool(np.array_equal(net.generator.matrix, twin.generator.matrix))
     means_a = fcs.mean_currents(net)
     means_b = fcs.mean_currents(twin)
     heat_records = [f"heat_{r.name}" for r in spec.reservoirs]
@@ -214,8 +220,8 @@ def cmd_twin_demo(args) -> dict:
     S_a = Dq_a[np.ix_(idx, idx)]
     S_b = Dq_b[np.ix_(idx, idx)]
     k_tot = net.records.index("heat_total")
-    ent_a = rec.entropy_production(net, p_a)
-    ent_b = rec.entropy_production(twin, p_b)
+    ent_a = rec.entropy_production(net, net.stationary.p)
+    ent_b = rec.entropy_production(twin, twin.stationary.p)
 
     report = rpt.new_report("twin-demo", {"rank_tol": DEFAULT_TOL})
     report["model"] = _model_section(net)
@@ -224,7 +230,7 @@ def cmd_twin_demo(args) -> dict:
         "gain": args.gain,
         "lose": args.lose,
         "generators_bitwise_equal": bitwise_equal,
-        "stationary_max_diff": float(np.max(np.abs(p_a - p_b))),
+        "stationary_max_diff": float(np.max(np.abs(net.stationary.p - twin.stationary.p))),
         "heat_total_mean_difference": means_b["heat_total"] - means_a["heat_total"],
         "heat_records": heat_records,
         "heat_noise_base": rpt.matrix(S_a),
@@ -250,7 +256,7 @@ def cmd_simulate(args) -> dict:
         initial=args.initial,
         burn_in=args.burn_in,
     )
-    dump_handle = open(args.dump, "w") if args.dump else None
+    dump_handle = _open_for_writing(args.dump) if args.dump else None
     try:
         stats = mc.simulate(net, cfg, dump=dump_handle)
     finally:
@@ -305,16 +311,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=_open_interval(0.0, 1.0), default=DEFAULT_TOL,
-                       help="relative rank/kernel threshold (default 1e-10)")
         p.add_argument("--json", metavar="PATH", default=None,
                        help="write the JSON report to PATH")
+
+    def tolerance(p):
+        # only where a rank verdict depends on it; the other commands use DEFAULT_TOL
+        p.add_argument("--tol", type=_open_interval(0.0, 1.0), default=DEFAULT_TOL,
+                       help="relative rank/kernel threshold (default 1e-10)")
 
     p = sub.add_parser("analyze", help="full analytic report for a model file")
     p.add_argument("model")
     p.add_argument("--fd", action="store_true", help="add finite-difference cumulants")
     p.add_argument("--fd-step", type=_open_interval(0.0, math.inf), default=1e-4,
                    help="finite-difference step, finite and > 0")
+    tolerance(p)
     common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -322,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--measured", action="append", default=[], metavar="RECORD")
     p.add_argument("--target", action="append", default=[], metavar="RECORD")
+    tolerance(p)
     common(p)
     p.set_defaults(func=cmd_diagnose)
 
@@ -374,6 +385,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         report = args.func(args)
+        if args.json:
+            with _open_for_writing(args.json) as handle:
+                handle.write(rpt.to_json(report))
     except ValidationError as exc:
         print(f"chanjump {args.command}: validation error: {exc}", file=sys.stderr)
         return 1
@@ -381,8 +395,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"chanjump {args.command}: numerical error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(rpt.render_text(report))
-    if args.json:
-        Path(args.json).write_text(rpt.to_json(report))
     return 0
 
 

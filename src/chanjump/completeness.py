@@ -25,12 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .linalg import DEFAULT_TOL, KernelBasis, numerical_rank, stationary_state
+from .linalg import DEFAULT_TOL, KernelBasis, numerical_rank
 from .network import (
     ChannelArrays,
     ChannelNetwork,
     RecordMap,
-    build_generator,
     build_projection,
     channel_counts,
 )
@@ -219,8 +218,7 @@ def quotient_form(net: ChannelNetwork, R_inv=None) -> QuotientForm:
     e = net.n_channels
     arrays = net.arrays
     if R_inv is None:
-        p = stationary_state(build_generator(net)).p
-        diag = arrays.rate * p[arrays.from_state]
+        diag = arrays.rate * net.stationary.p[arrays.from_state]
         source = "stationary_traffic"
         if not np.all(diag > 0):
             raise ValidationError(

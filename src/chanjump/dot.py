@@ -264,7 +264,7 @@ def make_twin(
         raise ValidationError("gain and lose reservoirs must differ")
     rate_r = net.channels[er].rate
     rate_s = net.channels[es].rate
-    if eta > rate_s or eta < -rate_r:
+    if not -rate_r <= eta <= rate_s:  # NaN fails too
         raise ValidationError(
             f"eta {eta:g} out of range; must keep rates in [{-rate_r:g}, {rate_s:g}] nonnegative"
         )

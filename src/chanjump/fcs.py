@@ -28,8 +28,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .linalg import drazin_inverse, stationary_state
-from .network import ChannelArrays, ChannelNetwork, build_generator
+from .linalg import drazin_inverse
+from .network import ChannelArrays, ChannelNetwork
 
 __all__ = [
     "CumulantReport",
@@ -115,7 +115,7 @@ def tilted_generator(net: ChannelNetwork, chi: Mapping[str, float]) -> np.ndarra
     m -> n; the diagonal keeps the untilted escape rates, so chi = 0 returns
     exactly the state generator.
     """
-    return _tilted_stack(net, _exponents(net, chi)[None], build_generator(net).matrix)[0]
+    return _tilted_stack(net, _exponents(net, chi)[None], net.generator.matrix)[0]
 
 
 def tilt_derivatives(net: ChannelNetwork, mu: str, nu: str) -> tuple[np.ndarray, np.ndarray]:
@@ -137,8 +137,7 @@ def tilt_derivatives(net: ChannelNetwork, mu: str, nu: str) -> tuple[np.ndarray,
 def mean_currents(net: ChannelNetwork) -> dict[str, float]:
     """Stationary mean rate of every declared record: D (rate * p_from)."""
     a = net.arrays
-    p = stationary_state(build_generator(net)).p
-    means = a.increments @ (a.rate * p[a.from_state])
+    means = a.increments @ (a.rate * net.stationary.p[a.from_state])
     return {rec: float(m) for rec, m in zip(net.records, means)}
 
 
@@ -153,12 +152,10 @@ def noise_matrix(net: ChannelNetwork) -> np.ndarray:
     past the largest double is a NumericalError, not inf or NaN entries.
     """
     a = net.arrays
-    L = build_generator(net)
-    ss = stationary_state(L)
-    R = drazin_inverse(L, ss)
+    R = drazin_inverse(net.generator, net.stationary)
     D = a.increments
     with np.errstate(over="ignore", invalid="ignore"):
-        DW = D * (a.rate * ss.p[a.from_state])
+        DW = D * (a.rate * net.stationary.p[a.from_state])
         A = ChannelArrays.sum_by(D * a.rate, a.from_state, net.n_states)
         B = ChannelArrays.sum_by(DW, a.to_state, net.n_states)
         C = A @ R @ B.T
@@ -224,8 +221,8 @@ def cumulants_fd(net: ChannelNetwork, h: float = 1e-4) -> CumulantReport:
     bitwise what ``scgf`` returns for it.  A failure is replayed point by
     point, so the error names the first failing point of the stencil order.
     """
-    L = build_generator(net).matrix
-    stationary_state(L)  # fail early on non-ergodic input
+    L = net.generator.matrix
+    net.stationary  # fail early on non-ergodic input
     recs = net.records
     q = len(recs)
     lam0 = _dominant_eigenvalues(L[None])[0]

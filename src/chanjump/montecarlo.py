@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .fcs import CumulantReport
-from .linalg import stationary_state
-from .network import ChannelNetwork, build_generator
+from .network import ChannelNetwork
 
 __all__ = ["SimConfig", "TrajectoryStats", "simulate", "empirical_cumulants"]
 
@@ -67,12 +66,14 @@ class SimConfig:
             raise ValidationError("n_trajectories must be >= 1")
         if (self.t_max is None) == (self.max_jumps is None):
             raise ValidationError("set exactly one of t_max and max_jumps")
-        if self.t_max is not None and not self.t_max > 0:
-            raise ValidationError("t_max must be > 0")
+        if self.t_max is not None and not 0 < self.t_max < math.inf:
+            raise ValidationError("t_max must be finite and > 0")
         if self.max_jumps is not None and self.max_jumps < 1:
             raise ValidationError("max_jumps must be >= 1")
-        if self.burn_in < 0:
-            raise ValidationError("burn_in must be >= 0")
+        if not 0 <= self.burn_in < math.inf:
+            raise ValidationError("burn_in must be finite and >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -348,7 +349,7 @@ def _initial_sampler(net: ChannelNetwork, cfg: SimConfig):
         return idx, None
     if cfg.initial is None:
         try:
-            p = stationary_state(build_generator(net)).p
+            p = net.stationary.p
         except NumericalError:
             raise ValidationError(
                 "network is not ergodic; pass an explicit initial state or distribution"

@@ -114,6 +114,18 @@ class ChannelNetwork:
         """Array view of the channels, built on first use and cached."""
         return ChannelArrays.of(self)
 
+    @cached_property
+    def generator(self) -> StateGenerator:
+        """The state generator, assembled on first use and cached."""
+        return build_generator(self)
+
+    @cached_property
+    def stationary(self):
+        """Stationary state of ``generator`` at DEFAULT_TOL, cached; NonErgodicError on every access if none."""
+        from .linalg import stationary_state
+
+        return stationary_state(self.generator)
+
 
 @dataclass(frozen=True, eq=False)
 class ChannelArrays:

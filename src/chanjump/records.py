@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .linalg import stationary_state
-from .network import ChannelNetwork, build_generator
+from .network import ChannelNetwork
 
 __all__ = [
     "RecordInterval",
@@ -211,9 +210,8 @@ def record_hull_summary(net: ChannelNetwork, u, selected) -> tuple[HullSummand, 
 
 def stationary_transition_totals(net: ChannelNetwork) -> np.ndarray:
     """Stationary ordered-transition currents u_t = W_t p_from, canonical order."""
-    L = build_generator(net)
-    p = stationary_state(L).p
+    p = net.stationary.p
     frm, to = net.arrays.pairs.T
-    u = L.matrix[to, frm] * p[frm]
+    u = net.generator.matrix[to, frm] * p[frm]
     u.flags.writeable = False
     return u

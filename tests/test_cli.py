@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanjump import build_dot, serialize_network, twin_dot_spec
 from chanjump.cli import main
@@ -203,6 +207,14 @@ def test_twin_demo_equal_potentials(tmp_path):
 
 def test_twin_demo_eta_out_of_range(capsys):
     assert run(["twin-demo", "--eta", "0.9"]) == 1
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf"])
+def test_twin_demo_non_finite_eta_is_an_input_error(eta, capsys):
+    # NaN used to pass the range check and end in a traceback from Fraction
+    assert run(["twin-demo", "--eta", eta]) == 1
+    err = capsys.readouterr().err
+    assert f"validation error: eta {eta} out of range" in err and "Traceback" not in err
 
 
 def test_simulate_command(twin_model, tmp_path):
@@ -429,3 +441,180 @@ def test_step_whose_square_underflows_is_an_input_error(twin_model, capsys):
     assert run(["analyze", twin_model, "--fd", "--fd-step", "1e-300"]) == 1
     err = capsys.readouterr().err
     assert "validation error: finite-difference step 1e-300 is too small" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# one state solution per network
+
+
+@pytest.mark.parametrize(
+    "argv, generators, solves",
+    [
+        (["analyze", None], 1, 2),
+        (["analyze", None, "--fd"], 1, 2),
+        (["simulate", None, "--seed", "1", "--trajectories", "3", "--horizon", "2"], 1, 1),
+        (["bounds", None, "--direction", "heat_total=1"], 1, 1),
+        (["twin-demo"], 2, 2),
+    ],
+    ids=["analyze", "analyze-fd", "simulate", "bounds", "twin-demo"],
+)
+def test_each_network_is_assembled_and_solved_once(argv, generators, solves, twin_model, monkeypatch):
+    from chanjump import cli, linalg, network
+
+    calls = {"build_generator": 0, "stationary_state": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(network, "build_generator", counted("build_generator", network.build_generator))
+    solve = counted("stationary_state", linalg.stationary_state)
+    monkeypatch.setattr(linalg, "stationary_state", solve)
+    monkeypatch.setattr(cli, "stationary_state", solve)  # analyze's check at the user tolerance
+    assert run([a if a is not None else twin_model for a in argv]) == 0
+    assert calls == {"build_generator": generators, "stationary_state": solves}
+
+
+# ---------------------------------------------------------------------------
+# input errors exit 1 without a traceback
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", None, "--direction", "heat_total=1"],
+    ["twin-demo"],
+    ["simulate", None, "--seed", "1", "--trajectories", "2", "--horizon", "1"],
+])
+def test_tol_is_only_taken_where_it_decides_a_rank(argv, twin_model, capsys):
+    args = [a if a is not None else twin_model for a in argv]
+    assert run(args + ["--tol", "0.5"]) == 1
+    assert "unrecognized arguments: --tol 0.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "u", ['"abc"', "[[1, 2], [3]]", '{"a": 1}', "[[1, 2]]", '["1", "2"]', "[true, 1]", "3", "null"],
+    ids=["string", "ragged", "object", "nested", "strings", "bool", "scalar", "null"],
+)
+def test_bounds_u_file_must_be_a_flat_array_of_numbers(u, twin_model, tmp_path, capsys):
+    path = tmp_path / "u.json"
+    path.write_text(u)
+    assert run(["bounds", twin_model, "--direction", "heat_total=1", "--u-file", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "validation error: u file must hold a flat JSON array of numbers" in err and "Traceback" not in err
+
+
+def test_bounds_u_file_with_a_number_past_the_largest_double(twin_model, tmp_path, capsys):
+    path = tmp_path / "u.json"
+    path.write_text(f"[{10**400}, 1]")
+    assert run(["bounds", twin_model, "--direction", "heat_total=1", "--u-file", str(path)]) == 1
+    assert "validation error: u file holds a number too large for a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--horizon", "inf"], "t_max must be finite"),
+        (["--horizon", "1", "--burn-in", "inf"], "burn_in must be finite"),
+        (["--horizon", "1", "--burn-in", "nan"], "burn_in must be finite"),
+        (["--horizon", "1", "--seed", "-1"], "seed must be >= 0"),
+    ],
+    ids=["horizon-inf", "burn-in-inf", "burn-in-nan", "seed-negative"],
+)
+def test_simulate_rejects_non_finite_windows_and_negative_seeds(flags, message, twin_model, tmp_path, capsys):
+    out = tmp_path / "s.json"
+    argv = ["simulate", twin_model, "--seed", "1", "--trajectories", "2", "--json", str(out)]
+    assert run(argv + flags) == 1  # a later --seed overrides the first
+    err = capsys.readouterr().err
+    assert f"validation error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--dump", "--json"])
+def test_unwritable_output_path_is_an_input_error(flag, twin_model, tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "out.txt"
+    argv = ["simulate", twin_model, "--seed", "1", "--trajectories", "2", "--horizon", "1", flag, str(missing)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert f"validation error: cannot write {missing}" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# no flag set makes the CLI raise
+
+_NUMBERS = ["nan", "inf", "-inf", "-1", "-0.5", "0", "abc", "1e400", ""]
+
+
+def _flag(name, valid, required=False):
+    """A flag with one of the bad values above or, three times as often, a short valid one; or left out."""
+    value = st.one_of(st.sampled_from(_NUMBERS), valid, valid, valid).map(lambda v: [name, str(v)])
+    return value if required else st.one_of(st.just([]), value)
+
+
+_fraction = st.floats(0.01, 0.99).map(repr)
+_positive = st.floats(0.01, 3.0).map(repr)
+_real = st.floats(-3.0, 3.0).map(repr)
+
+
+def _reservoir(name):
+    return st.one_of(st.just([]), st.sampled_from(["L", "R", "X", ""]).map(lambda r: [name, r]))
+
+
+_FLAGS = {
+    "analyze": [
+        st.just([]), st.sampled_from([[], ["--fd"]]), _flag("--fd-step", st.floats(1e-5, 1e-2).map(repr)),
+        _flag("--tol", _fraction),
+    ],
+    "diagnose": [
+        st.sampled_from([[], ["--measured", "heat_L"], ["--measured", "nope"]]),
+        st.sampled_from([[], ["--target", "heat_R"], ["--target", "heat_total"]]),
+        _flag("--tol", _fraction),
+    ],
+    "bounds": [
+        st.sampled_from([[], ["--direction", "heat_total=1"]]),
+        st.sampled_from(_NUMBERS + ["1", "0.5", "-2"]).map(lambda w: ["--direction", f"heat_L={w}"]),
+    ],
+    "twin-demo": [
+        _flag("--eta", st.floats(-0.3, 0.3).map(repr)), _flag("--eps", _real), _flag("--mu-l", _real),
+        _flag("--mu-r", _real), _flag("--temp", _positive), _flag("--gamma", _positive),
+        _reservoir("--gain"), _reservoir("--lose"),
+    ],
+    "simulate": [
+        _flag("--seed", st.integers(0, 2**32), required=True),
+        _flag("--trajectories", st.integers(2, 4), required=True),
+        st.one_of(  # exactly one of --horizon and --jumps, or both or neither
+            _flag("--horizon", _positive, required=True),
+            _flag("--jumps", st.integers(1, 30), required=True),
+            st.tuples(_flag("--horizon", _positive), _flag("--jumps", st.integers(1, 30))).map(lambda t: t[0] + t[1]),
+        ),
+        _flag("--burn-in", _positive),
+        _flag("--initial", st.integers(0, 1)),
+    ],
+}
+
+flag_sets = st.sampled_from(sorted(_FLAGS)).flatmap(
+    lambda command: st.tuples(st.just(command), *_FLAGS[command]).map(lambda drawn: (drawn[0], sum(drawn[1:], [])))
+)
+
+
+@pytest.fixture(scope="module")
+def flags_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("flags")
+    (directory / "twin.json").write_text(serialize_network(build_dot(twin_dot_spec())))
+    return directory
+
+
+@pytest.mark.filterwarnings("ignore")  # non-ergodicity and overflow warnings are expected here
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(drawn=flag_sets)
+def test_cli_flags_never_raise(drawn, flags_dir):
+    command, flags = drawn
+    model = [] if command == "twin-demo" else [str(flags_dir / "twin.json")]
+    argv = [command] + model + flags + ["--json", str(flags_dir / "report.json")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or "error:" in err.getvalue()

@@ -221,11 +221,11 @@ def test_cumulants_fd_zero_increment_record():
 
 
 def test_cumulants_fd_solves_one_stack_per_record(monkeypatch):
-    from chanjump import fcs
+    from chanjump import network
 
     net = random_network(np.random.default_rng(8), n_records=5)
     calls = {"eigvals": 0, "build_generator": 0}
-    eigvals, build = np.linalg.eigvals, fcs.build_generator
+    eigvals, build = np.linalg.eigvals, network.build_generator
 
     def counted(name, fn):
         def wrapper(*args):
@@ -234,7 +234,7 @@ def test_cumulants_fd_solves_one_stack_per_record(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", eigvals))
-    monkeypatch.setattr(fcs, "build_generator", counted("build_generator", build))
+    monkeypatch.setattr(network, "build_generator", counted("build_generator", build))
     cumulants_fd(net)
     # the per-point loop made 2q + 1 + 2q(q - 1) = 51 solves and as many assemblies
     assert calls == {"eigvals": 5 + 1, "build_generator": 1}

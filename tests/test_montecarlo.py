@@ -207,3 +207,20 @@ def test_waiting_times_are_exponential():
         if ok:
             return
     pytest.fail("waiting times failed the exponential KS check on all retry seeds")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"t_max": math.inf}, "t_max must be finite"),
+        ({"t_max": math.nan}, "t_max must be finite"),
+        ({"t_max": 1.0, "burn_in": math.inf}, "burn_in must be finite"),
+        ({"t_max": 1.0, "burn_in": math.nan}, "burn_in must be finite"),
+        ({"max_jumps": 5, "burn_in": math.nan}, "burn_in must be finite"),
+        ({"t_max": 1.0, "seed": -1}, "seed must be >= 0"),
+    ],
+    ids=["t-max-inf", "t-max-nan", "burn-in-inf", "burn-in-nan", "jumps-burn-in-nan", "seed-negative"],
+)
+def test_sim_config_rejects_non_finite_windows_and_negative_seeds(fields, message):
+    with pytest.raises(ValidationError, match=message):
+        SimConfig(**{"n_trajectories": 1, "seed": 0, **fields})

@@ -247,3 +247,31 @@ def test_bp_current_equals_generator_action():
         j = np.array([ch.rate * p[ch.from_state] for ch in net.channels])
         lhs = proj.B @ (proj.P @ j)
         assert np.abs(lhs - L @ p).max() < 1e-12 * max(1.0, np.abs(L).max())
+
+
+def test_cached_generator_and_stationary_state_match_a_fresh_solve():
+    from chanjump import stationary_state
+
+    for seed in range(5):
+        net = random_network(np.random.default_rng(seed))
+        assert np.array_equal(net.generator.matrix, build_generator(net).matrix)
+        assert np.array_equal(net.stationary.p, stationary_state(build_generator(net)).p)
+        assert net.generator is net.generator and net.stationary is net.stationary
+
+
+def test_non_ergodic_network_raises_on_every_stationary_access(monkeypatch):
+    from chanjump import NonErgodicError, linalg
+
+    net = make_network(
+        ["a", "b", "c", "d"],
+        [(0, 1, "r", 1.0), (1, 0, "r", 1.0), (2, 3, "r", 1.0), (3, 2, "r", 1.0)],
+        [],
+    )
+    solves = []
+    solve = linalg.stationary_state
+    monkeypatch.setattr(linalg, "stationary_state", lambda L: solves.append(L) or solve(L))
+    for _ in range(3):
+        with pytest.raises(NonErgodicError, match="null space dimension 2"):
+            net.stationary
+    # nothing is cached for a failed solve; the generator is assembled once
+    assert len(solves) == 3 and all(L is net.generator for L in solves)
