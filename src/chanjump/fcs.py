@@ -7,10 +7,13 @@ generator.  Long-time cumulants come from its dominant eigenvalue; the mean
 and zero-frequency noise also have closed forms in terms of the stationary
 state and the Drazin inverse, which is what ``mean_currents`` and
 ``noise_matrix`` evaluate.  ``cumulants_fd`` is the finite-difference
-cross-check on the dominant eigenvalue.  It tilts the stencil one record at
-a time, that record's own points and its mixed points with every later
-record, as one stack of generators with one eigensolve; each point is
-bitwise what ``scgf`` returns for it, since one path assembles both.
+cross-check on the dominant eigenvalue (Bagrets and Nazarov, PRB 67, 085316
+(2003)).  The tilted generator is a Metzler matrix, so that eigenvalue is
+its Perron root: bordered Newton finds it from the stationary state, and a
+positive eigenvector certifies it; a point without that certificate goes
+through a full eigensolve (``np.linalg.eigvals``).  The whole stencil is
+tilted as one stack, in chunks of bounded size, and each point is bitwise
+what ``scgf`` returns for it, since one path assembles and solves both.
 
 Sign convention: a counting field chi on record mu weights a channel by
 exp(chi * d) where d is the channel's increment for mu.  For the dot
@@ -21,6 +24,8 @@ exp(-chi (eps - mu_r)) for electrons entering the dot.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -44,6 +49,11 @@ __all__ = [
 ]
 
 _MAX_EXPONENT = 700.0  # exp overflow threshold for doubles
+_EPS = float(np.finfo(float).eps)
+_NEWTON_STEPS = 8  # bordered Newton steps before a point falls back to eigvals
+# One stack of the finite-difference stencil holds about this many cells, n^2 + E per
+# point, so its transient memory does not grow with the number of records.
+_STACK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,13 +92,18 @@ def _exponents(net: ChannelNetwork, chi: Mapping[str, float]) -> np.ndarray:
     return np.array(net.arrays.weighted(net.record_rows(chi), list(chi.values())))
 
 
-def _tilted_stack(net: ChannelNetwork, exponents: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Tilted generators for K x E exponents: K x n x n, with the diagonal of L."""
+def _tilted_stack(net: ChannelNetwork, exponents: np.ndarray) -> np.ndarray:
+    """Tilted generators for K x E exponents: K x n x n, with the untilted diagonal."""
     a, n = net.arrays, net.n_states
     with np.errstate(over="ignore"):  # an inf total fails the eigensolve
-        M = np.stack([a.transition_totals(row, n) for row in a.rate * _tilt_factors(exponents)])
-    M[:, range(n), range(n)] = L.diagonal()
+        M = a.transition_totals(a.rate * _tilt_factors(exponents), n)
+    M[:, range(n), range(n)] = net.generator.matrix.diagonal()
     return M
+
+
+def _scale(M: np.ndarray) -> np.ndarray:
+    """max(1, max |M_k|) for every matrix of the stack, without an |M| copy."""
+    return np.maximum(1.0, np.maximum(M.max(axis=(1, 2)), -M.min(axis=(1, 2))))
 
 
 def _dominant_eigenvalues(M: np.ndarray) -> list[float]:
@@ -98,14 +113,69 @@ def _dominant_eigenvalues(M: np.ndarray) -> list[float]:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed on tilted generator: {exc}") from exc
     lam = ev[np.arange(len(M)), np.argmax(ev.real, axis=1)]
-    scale = np.maximum(1.0, np.abs(M).max(axis=(1, 2)))
-    complex_at = np.flatnonzero(np.abs(lam.imag) > 1e-9 * scale)
+    complex_at = np.flatnonzero(np.abs(lam.imag) > 1e-9 * _scale(M))
     if complex_at.size:
         raise NumericalError(
             f"dominant eigenvalue has imaginary part {float(lam.imag[complex_at[0]]):g}; "
             "network may be reducible"
         )
     return lam.real.tolist()
+
+
+def _bordered_solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve every system of the stack; a singular one gives NaN, not an error for all."""
+    try:
+        return np.linalg.solve(B, rhs)
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for k in range(len(B)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[k] = np.linalg.solve(B[k], rhs[k])
+        return out
+
+
+def _perron_roots(M: np.ndarray, p: np.ndarray) -> list[float]:
+    """Dominant eigenvalue of every matrix of the K x n x n Metzler stack.
+
+    Bordered Newton on (M - lam I) v = 0, 1.v = 1 (Peters and Wilkinson,
+    SIAM Rev. 21, 339 (1979)): from v = p and lam = 1.M p, each step solves
+    [[M - lam I, -v], [1, 0]] [v', dlam] = [0, 1] for every point still
+    running.  A point stops on its own once |dlam| <= 4 eps max(1, max |M|),
+    so its value does not depend on the other points of the stack.  A
+    Metzler matrix's eigenvalue with a positive eigenvector is its dominant
+    one, so a converged, entrywise positive v certifies lam.  Every point
+    that is not certified within _NEWTON_STEPS steps goes through
+    ``_dominant_eigenvalues``.
+    """
+    K, n = M.shape[:2]
+    tol = 4 * _EPS * _scale(M)
+    lam = np.full(K, np.nan)  # NaN until certified
+    B = np.zeros((K, n + 1, n + 1))  # reused: every step rewrites the first k systems
+    B[:, n, :n] = 1.0
+    rhs = np.zeros((K, n + 1, 1))
+    rhs[:, n] = 1.0
+    running = np.arange(K)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite M fails to converge
+        mu = (M @ p).sum(axis=1)
+        v = np.broadcast_to(p, (K, n))
+        for _ in range(_NEWTON_STEPS):
+            k = running.size
+            B[:k, :n, :n] = M if k == K else M[running]
+            B[:k, range(n), range(n)] -= mu[:, None]
+            B[:k, :n, n] = -v
+            x = _bordered_solve(B[:k], rhs[:k])[:, :, 0]
+            v, step = x[:, :n], x[:, n]
+            mu = mu + step
+            stop = ~(np.abs(step) > tol[running])  # converged, or NaN: the solve failed
+            certified = stop & np.isfinite(step) & (v > 0).all(axis=1)
+            lam[running[certified]] = mu[certified]
+            running, mu, v = running[~stop], mu[~stop], v[~stop]
+            if not running.size:
+                break
+    uncertified = np.flatnonzero(np.isnan(lam))
+    if uncertified.size:
+        lam[uncertified] = _dominant_eigenvalues(M[uncertified])
+    return lam.tolist()
 
 
 def tilted_generator(net: ChannelNetwork, chi: Mapping[str, float]) -> np.ndarray:
@@ -115,7 +185,7 @@ def tilted_generator(net: ChannelNetwork, chi: Mapping[str, float]) -> np.ndarra
     m -> n; the diagonal keeps the untilted escape rates, so chi = 0 returns
     exactly the state generator.
     """
-    return _tilted_stack(net, _exponents(net, chi)[None], net.generator.matrix)[0]
+    return _tilted_stack(net, _exponents(net, chi)[None])[0]
 
 
 def tilt_derivatives(net: ChannelNetwork, mu: str, nu: str) -> tuple[np.ndarray, np.ndarray]:
@@ -169,9 +239,18 @@ def noise_matrix(net: ChannelNetwork) -> np.ndarray:
 def scgf(net: ChannelNetwork, chi: Mapping[str, float]) -> float:
     """Dominant eigenvalue of the tilted generator (scaled CGF).
 
-    Real and simple for irreducible networks; zero at chi = 0.
+    Real and simple for irreducible networks; zero at chi = 0.  It is the
+    Perron root of the tilted generator, found by bordered Newton from the
+    stationary state and certified by a positive eigenvector; a point that
+    is not certified, or a network without a stationary state, goes through
+    a full eigensolve (``np.linalg.eigvals``) instead.
     """
-    return _dominant_eigenvalues(tilted_generator(net, chi)[None])[0]
+    M = tilted_generator(net, chi)[None]
+    try:
+        p = net.stationary.p
+    except NumericalError:
+        return _dominant_eigenvalues(M)[0]
+    return _perron_roots(M, p)[0]
 
 
 def analytic_cumulants(net: ChannelNetwork) -> CumulantReport:
@@ -183,23 +262,35 @@ def analytic_cumulants(net: ChannelNetwork) -> CumulantReport:
     )
 
 
-def _stencil_block(D: np.ndarray, i: int, h: float) -> np.ndarray:
-    """Exponents of record i's stencil points, one row per point.
+def _stencil_points(q: int) -> np.ndarray:
+    """Every stencil point as a row (i, s_i, j, s_j): chi = 0, then record by record
+    +h e_i, -h e_i and the four sign points of every pair (i, j > i).
 
-    The rows are +h e_i, -h e_i, then (+h, +h), (+h, -h), (-h, +h), (-h, -h)
-    on records (i, j) for every j > i.  One product is what fsum of one term
-    returns, and IEEE addition of two products is correctly rounded, as fsum
-    of two terms is.
+    The point's exponents are s_i h d_i + s_j h d_j; record index q is a zero
+    row, so (q, 1, q, 1) is chi = 0 and (i, s, q, 1) a single-record point.
     """
+    rows = [(q, 1, q, 1)]
+    for i in range(q):
+        rows += [(i, 1, q, 1), (i, -1, q, 1)]
+        rows += [(i, si, j, sj) for j in range(i + 1, q) for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    return np.array(rows, dtype=np.intp).reshape(-1, 4)
+
+
+def _stencil_exponents(hD: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Exponents of the given stencil points, one row per point.
+
+    A product by +-1 is exact, one product is what fsum of one term returns,
+    and IEEE addition of two products is correctly rounded, as fsum of two
+    terms is; adding the zero row changes only the sign of a zero exponent.
+    """
+    first = points[:, 1, None] * hD[points[:, 0]]
+    second = points[:, 3, None] * hD[points[:, 2]]
     with np.errstate(over="ignore", invalid="ignore"):
-        up, down = h * D[i:], -h * D[i:]
-        first = np.stack([up[0], up[0], down[0], down[0]])
-        second = np.stack([up[1:], down[1:], up[1:], down[1:]], axis=1)
-        pairs = first + second
+        rows = first + second
     # fsum raises where finite terms sum past the largest double (inf - inf fails the eigensolve)
-    if np.any(np.isinf(pairs) & np.isfinite(first) & np.isfinite(second)):
+    if np.any(np.isinf(rows) & np.isfinite(first) & np.isfinite(second)):
         raise NumericalError("weighted record increments exceed the largest double")
-    return np.vstack([up[0], down[0], pairs.reshape(-1, D.shape[1])])
+    return rows
 
 
 def _stencil(records: tuple[str, ...], h: float):
@@ -216,35 +307,42 @@ def cumulants_fd(net: ChannelNetwork, h: float = 1e-4) -> CumulantReport:
     """Means and noise from central differences of the dominant eigenvalue.
 
     First derivatives use the two-point stencil, the noise diagonal the
-    three-point stencil, and mixed entries the four-point stencil.  Each
-    record's points are tilted and solved as one stack; every point is
-    bitwise what ``scgf`` returns for it.  A failure is replayed point by
-    point, so the error names the first failing point of the stencil order.
+    three-point stencil, and mixed entries the four-point stencil.  The
+    whole stencil, chi = 0 first, is tilted as one stack, split into chunks
+    of about _STACK_CELLS cells, and each chunk's Perron roots are found
+    together; every point is bitwise what ``scgf`` returns for it.  A
+    failure is replayed point by point, so the error names the first
+    failing point of the stencil order.
     """
-    L = net.generator.matrix
-    net.stationary  # fail early on non-ergodic input
+    p = net.stationary.p  # fail early on non-ergodic input
+    if h * h == 0:
+        raise ValidationError(f"finite-difference step {h!r} is too small: its square is zero")
     recs = net.records
     q = len(recs)
-    lam0 = _dominant_eigenvalues(L[None])[0]
-    D = net.arrays.increments
+    a = net.arrays
+    with np.errstate(over="ignore"):
+        hD = np.vstack([h * a.increments, np.zeros(a.increments.shape[1])])
+    points = _stencil_points(q)
+    chunk = max(1, _STACK_CELLS // (net.n_states**2 + net.n_channels))
+    lam = []
     try:
-        blocks = [_dominant_eigenvalues(_tilted_stack(net, _stencil_block(D, i, h), L)) for i in range(q)]
+        for start in range(0, len(points), chunk):
+            M = _tilted_stack(net, _stencil_exponents(hD, points[start : start + chunk]))
+            lam += _perron_roots(M, p)
     except NumericalError:
         for chi in _stencil(recs, h):
             scgf(net, chi)
         raise
-    if h * h == 0:
-        raise ValidationError(f"finite-difference step {h!r} is too small: its square is zero")
-    up = [block[0] for block in blocks]
-    down = [block[1] for block in blocks]
-    means = {rec: (u - d) / (2 * h) for rec, u, d in zip(recs, up, down)}
-    S = np.zeros((q, q))
+    lam0, rest = lam[0], iter(lam[1:])  # record by record: +h, -h, then four points per later record
+    up, down, S = [], [], np.zeros((q, q))
     for i in range(q):
+        up.append(next(rest))
+        down.append(next(rest))
         S[i, i] = (up[i] - 2 * lam0 + down[i]) / h**2
         for j in range(i + 1, q):
-            k = 2 + 4 * (j - i - 1)  # block i's (+h, +h) point on (i, j)
-            pp, pm, mp, mm = blocks[i][k : k + 4]
+            pp, pm, mp, mm = itertools.islice(rest, 4)
             S[i, j] = S[j, i] = (pp - pm - mp + mm) / (4 * h**2)
+    means = {rec: (u - d) / (2 * h) for rec, u, d in zip(recs, up, down)}
     return CumulantReport(records=recs, means=means, noise=S, method="finite_difference")
 
 

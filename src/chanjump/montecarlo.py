@@ -42,6 +42,9 @@ _BLOCK = 4096  # random numbers drawn per refill; fixed, part of the stream cont
 # E / N of its (cells / N) bins, so about 1 jump in _CELLS_PER_CHANNEL needs a resolve.
 _TABLE_CELLS = 1 << 16
 _CELLS_PER_CHANNEL = 16
+# A run expected to make more jumps than this is refused: at a few million jumps per
+# second it would take minutes or, for a window like 1e300, never end.
+_MAX_EXPECTED_JUMPS = 1e9
 
 
 @dataclass(frozen=True)
@@ -361,15 +364,40 @@ def _initial_sampler(net: ChannelNetwork, cfg: SimConfig):
     return None, np.cumsum(p)
 
 
+def _check_expected_jumps(net: ChannelNetwork, cfg: SimConfig, escape: np.ndarray) -> None:
+    """Refuse a run whose expected jump count passes _MAX_EXPECTED_JUMPS.
+
+    The jump rate is the stationary one, sum_s p_s esc_s, or the largest
+    escape rate when there is no stationary state.  Per trajectory the count
+    is (burn_in + t_max) * rate, or max_jumps + burn_in * rate.
+    """
+    try:
+        rate = float(net.stationary.p @ escape)
+    except NumericalError:
+        rate = float(escape.max())
+    if cfg.t_max is not None:
+        per_trajectory = (cfg.burn_in + cfg.t_max) * rate
+    else:
+        per_trajectory = min(cfg.max_jumps, 1e300) + cfg.burn_in * rate
+    expected = min(cfg.n_trajectories, 1e300) * per_trajectory  # inf, never OverflowError
+    if not expected <= _MAX_EXPECTED_JUMPS:
+        raise ValidationError(
+            f"the run would make about {expected:.3g} jumps, more than {_MAX_EXPECTED_JUMPS:.0e}; "
+            "shorten the window or the jump budget, or use fewer trajectories"
+        )
+
+
 def simulate(net: ChannelNetwork, cfg: SimConfig, dump: IO[str] | None = None) -> list[TrajectoryStats]:
     """Run independent trajectories and collect per-trajectory statistics.
 
     A state without outgoing rate ends the trajectory early (flagged
     absorbed); in the fixed-window mode the remaining time still counts as
     occupation of that state.  ``dump`` receives one "time,channel,state"
-    line per jump, prefixed by a "# trajectory k" line per trajectory.
+    line per jump, prefixed by a "# trajectory k" line per trajectory.  A
+    run expected to make more than 1e9 jumps is a ValidationError.
     """
     table = _ChannelTable(net)
+    _check_expected_jumps(net, cfg, table.escape)
     if not _strongly_connected(net):
         warnings.warn("simulating a non-ergodic network", stacklevel=2)
     fixed_initial, init_cum = _initial_sampler(net, cfg)

@@ -189,16 +189,26 @@ class ChannelArrays:
         means = self.sum_by(X, self.transition, len(self.counts)) / self.counts
         return X - means[:, self.transition]
 
-    def transition_totals(self, values: np.ndarray, n_states: int) -> np.ndarray:
-        """n x n matrix of per-transition math.fsum totals of values at (to, from).
+    @cached_property
+    def _slices(self) -> list[slice]:
+        return [slice(a, b) for a, b in self.spans]
 
-        fsum rounds once, so a total does not depend on channel order.  Values
-        are rates: a total beyond the largest double reads inf.
+    def transition_totals(self, values: np.ndarray, n_states: int) -> np.ndarray:
+        """Per-transition math.fsum totals of values at (to, from).
+
+        ``values`` is one row of E values (an n x n result) or a K x E block
+        (K x n x n).  fsum rounds once, so a total does not depend on channel
+        order.  Values are rates: a total beyond the largest double reads inf.
         """
-        ordered = values[self.grouped].tolist()
-        M = np.zeros((n_states, n_states))
-        M[self.pairs[:, 1], self.pairs[:, 0]] = [_fsum(ordered[a:b]) for a, b in self.spans]
-        return M
+        rows = np.atleast_2d(values)[:, self.grouped].tolist()
+        slices = self._slices
+        try:
+            totals = [list(map(math.fsum, map(row.__getitem__, slices))) for row in rows]
+        except OverflowError:  # finite terms whose exact sum exceeds the largest double
+            totals = [[_fsum(row[s]) for s in slices] for row in rows]
+        M = np.zeros((len(rows), n_states, n_states))
+        M[:, self.pairs[:, 1], self.pairs[:, 0]] = totals
+        return M if values.ndim == 2 else M[0]
 
     def weighted(self, rows: list[int], weights: list[float]) -> list[float]:
         """Per channel, the correctly rounded sum of weights . increments[rows]."""

@@ -530,6 +530,16 @@ def test_simulate_rejects_non_finite_windows_and_negative_seeds(flags, message, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--horizon", "1e300"], ["--jumps", "1000000000000"]], ids=["horizon", "jumps"])
+def test_simulate_refuses_a_run_past_the_jump_budget(flags, twin_model, tmp_path, capsys):
+    out = tmp_path / "s.json"
+    argv = ["simulate", twin_model, "--seed", "1", "--trajectories", "2", "--json", str(out)]
+    assert run(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert "validation error: the run would make about" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--dump", "--json"])
 def test_unwritable_output_path_is_an_input_error(flag, twin_model, tmp_path, capsys):
     missing = tmp_path / "no-such-dir" / "out.txt"

@@ -7,10 +7,14 @@ grouping of ``net.arrays``, kept here verbatim as the reference.  math.fsum
 is correctly rounded, so both must agree bit for bit, the sign of every zero
 included.  ``reference_cumulants_fd`` is the per-point finite-difference loop
 (one tilted generator and one eigensolve per stencil point) that the stacked
-stencil of ``cumulants_fd`` replaced; means, noise and the first error must
-agree exactly.  The property tests check that rescaling every rate by a power
-of two rescales the generator exactly and leaves every verdict alone, and
-that no model document, however extreme its numbers, makes the CLI raise.
+stencil of ``cumulants_fd`` replaced.  Every stacked tilted generator must
+equal the reference one bitwise and the first error must be the same; each
+Perron root must lie within 1e-12 max(1, max |M|) of the reference's
+``eigvals`` root, and means and noise must be bitwise what the per-point
+loop gives on the library's ``scgf``.  The property tests check that
+rescaling every rate by a power of two rescales the generator exactly and
+leaves every verdict alone, and that no model document, however extreme its
+numbers, makes the CLI raise.
 """
 
 from __future__ import annotations
@@ -44,11 +48,13 @@ from chanjump import (
     noise_matrix,
     predictability_test,
     record_interval,
+    scgf,
     stationary_state,
     stationary_transition_totals,
     tilted_generator,
     twin_dot_spec,
 )
+from chanjump import fcs
 from chanjump.cli import main
 from chanjump.dot import _level_contacts, fermi
 from chanjump.errors import ChanjumpError, NonErgodicError, NumericalError, ValidationError
@@ -227,7 +233,11 @@ def test_dot_totals_without_couplings_are_zero():
 
 def reference_scgf(net: ChannelNetwork, chi: Mapping[str, float]) -> float:
     """The per-point ``scgf``, tilting with the reference assembly above."""
-    M = reference_tilted_generator(net, chi)
+    return reference_root(reference_tilted_generator(net, chi))
+
+
+def reference_root(M: np.ndarray) -> float:
+    """Dominant eigenvalue from the full eigensolve."""
     try:
         ev = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
@@ -242,13 +252,13 @@ def reference_scgf(net: ChannelNetwork, chi: Mapping[str, float]) -> float:
     return float(lam.real)
 
 
-def reference_cumulants_fd(net: ChannelNetwork, h: float = 1e-4):
+def reference_cumulants_fd(net: ChannelNetwork, h: float = 1e-4, root=reference_scgf):
     stationary_state(build_generator(net))  # fail early on non-ergodic input
     recs = net.records
     q = len(recs)
-    lam0 = reference_scgf(net, {})
-    up = [reference_scgf(net, {rec: h}) for rec in recs]
-    down = [reference_scgf(net, {rec: -h}) for rec in recs]
+    lam0 = root(net, {})
+    up = [root(net, {rec: h}) for rec in recs]
+    down = [root(net, {rec: -h}) for rec in recs]
     means = {rec: (u - d) / (2 * h) for rec, u, d in zip(recs, up, down)}
     S = np.zeros((q, q))
     for i, ri in enumerate(recs):
@@ -256,10 +266,10 @@ def reference_cumulants_fd(net: ChannelNetwork, h: float = 1e-4):
         for j in range(i + 1, q):
             rj = recs[j]
             S[i, j] = S[j, i] = (
-                reference_scgf(net, {ri: h, rj: h})
-                - reference_scgf(net, {ri: h, rj: -h})
-                - reference_scgf(net, {ri: -h, rj: h})
-                + reference_scgf(net, {ri: -h, rj: -h})
+                root(net, {ri: h, rj: h})
+                - root(net, {ri: h, rj: -h})
+                - root(net, {ri: -h, rj: h})
+                + root(net, {ri: -h, rj: -h})
             ) / (4 * h**2)
     return CumulantReport(records=recs, means=means, noise=S, method="finite_difference")
 
@@ -273,15 +283,65 @@ def fd_outcome(fd, net, h):
     return list(result.means), np.array(list(result.means.values())), result.noise
 
 
+def stencil_fields(records, h):
+    """The stencil in stack order: chi = 0, then per record +h, -h and its mixed points."""
+    fields = [{}]
+    for i, ri in enumerate(records):
+        fields += [{ri: h}, {ri: -h}]
+        for rj in records[i + 1 :]:
+            fields += [{ri: si, rj: sj} for si, sj in ((h, h), (h, -h), (-h, h), (-h, -h))]
+    return fields
+
+
+def stacked_fd(net, h):
+    """``cumulants_fd``'s outcome, with every tilted generator it solved and its root."""
+    solved = []
+    perron_roots = fcs._perron_roots
+
+    def record(M, p):
+        lam = perron_roots(M, p)
+        solved.extend(zip(M.copy(), lam))
+        return lam
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fcs, "_perron_roots", record)
+        outcome = fd_outcome(cumulants_fd, net, h)
+    return outcome, solved
+
+
+ROOT_BOUND = 1e-12  # |lam - eigvals| relative to max(1, max |M|)
+
+
 def assert_same_fd(net, h) -> bool:
-    """Library and reference agree bitwise; True when both succeeded."""
-    got, want = fd_outcome(cumulants_fd, net, h), fd_outcome(reference_cumulants_fd, net, h)
+    """Library and reference agree; True when both succeeded.
+
+    Errors and every tilted generator are bitwise the reference's, roots are
+    within ROOT_BOUND of the eigvals roots, and means and noise are bitwise
+    the per-point loop's on the library's ``scgf``.
+    """
+    reference = {}
+
+    def root(n, chi):
+        M = reference_tilted_generator(n, chi)
+        lam = reference_root(M)
+        reference[tuple(chi.items())] = M, lam
+        return lam
+
+    got, solved = stacked_fd(net, h)
+    want = fd_outcome(lambda n, step: reference_cumulants_fd(n, step, root), net, h)
     assert len(got) == len(want)
     if len(want) == 2:
         assert got == want
         return False
+    fields = stencil_fields(net.records, h)
+    assert len(solved) == len(fields)
+    for (M, lam), chi in zip(solved, fields):
+        R, eig = reference[tuple(chi.items())]
+        assert bitwise_equal(M, R)
+        assert abs(lam - eig) <= ROOT_BOUND * max(1.0, float(np.abs(M).max()))
     assert got[0] == want[0]
-    assert bitwise_equal(got[1], want[1]) and bitwise_equal(got[2], want[2])
+    per_point = fd_outcome(lambda n, step: reference_cumulants_fd(n, step, root=scgf), net, h)
+    assert bitwise_equal(got[1], per_point[1]) and bitwise_equal(got[2], per_point[2])
     return True
 
 
@@ -356,6 +416,51 @@ def test_cumulants_fd_errors_match_the_per_point_loop():
     broken = make_network(["a", "b", "c"], [(0, 1, "r", 1.0, "", {"n": 1.0}), (1, 0, "r", 1.0)], ["n"])
     assert fd_outcome(cumulants_fd, broken, 1e-4)[0] is NonErgodicError
     assert not assert_same_fd(broken, 1e-4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), h=st.sampled_from([1e-4, 1e-3, 1e-2, 0.1, 0.3]))
+def test_every_stencil_point_is_its_own_scgf(seed, h):
+    # a point's root does not depend on the other points of its stack
+    net = fd_network(np.random.default_rng(seed))
+    outcome, solved = stacked_fd(net, h)
+    if len(outcome) == 2:
+        return
+    for (M, lam), chi in zip(solved, stencil_fields(net.records, h)):
+        assert lam == scgf(net, chi)
+        eig = fcs._dominant_eigenvalues(M[None])[0]
+        assert abs(lam - eig) <= ROOT_BOUND * max(1.0, float(np.abs(M).max()))
+
+
+def plain_newton(M, p, steps=8):
+    """Bordered Newton from (p, 1.M p) without the positivity certificate."""
+    n = len(M)
+    v, lam = p, float((M @ p).sum())
+    for _ in range(steps):
+        B = np.zeros((n + 1, n + 1))
+        B[:n, :n] = M - lam * np.eye(n)
+        B[:n, n] = -v
+        B[n, :n] = 1.0
+        x = np.linalg.solve(B, np.eye(n + 1)[n])
+        v, lam = x[:n], lam + x[n]
+    return lam, v
+
+
+def test_an_uncertified_root_falls_back_to_eigvals(monkeypatch):
+    # at this field Newton from the stationary state converges to another
+    # eigenvalue, whose eigenvector has entries of both signs
+    net = fd_network(np.random.default_rng(337))
+    chi = {"x0": -1.0}
+    M = tilted_generator(net, chi)
+    wrong, v = plain_newton(M, net.stationary.p)
+    eig = fcs._dominant_eigenvalues(M[None])[0]
+    assert not (v > 0).all() and eig - wrong > 10.0
+    assert scgf(net, chi) == eig
+    assert fcs._perron_roots(np.stack([tilted_generator(net, {}), M]), net.stationary.p)[1] == eig
+    # a point that has not converged when the step cap is hit falls back too
+    monkeypatch.setattr(fcs, "_NEWTON_STEPS", 1)
+    for field in ({"x0": 1e-3}, {"x0": 0.1}, chi):
+        assert scgf(net, field) == fcs._dominant_eigenvalues(tilted_generator(net, field)[None])[0]
 
 
 # ---------------------------------------------------------------------------

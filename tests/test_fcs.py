@@ -221,11 +221,11 @@ def test_cumulants_fd_zero_increment_record():
 
 
 def test_cumulants_fd_solves_one_stack_per_record(monkeypatch):
-    from chanjump import network
+    from chanjump import fcs, network
 
     net = random_network(np.random.default_rng(8), n_records=5)
-    calls = {"eigvals": 0, "build_generator": 0}
-    eigvals, build = np.linalg.eigvals, network.build_generator
+    calls = {"eigvals": 0, "build_generator": 0, "_perron_roots": 0}
+    eigvals, build, roots = np.linalg.eigvals, network.build_generator, fcs._perron_roots
 
     def counted(name, fn):
         def wrapper(*args):
@@ -235,9 +235,48 @@ def test_cumulants_fd_solves_one_stack_per_record(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", eigvals))
     monkeypatch.setattr(network, "build_generator", counted("build_generator", build))
+    monkeypatch.setattr(fcs, "_perron_roots", counted("_perron_roots", roots))
     cumulants_fd(net)
-    # the per-point loop made 2q + 1 + 2q(q - 1) = 51 solves and as many assemblies
-    assert calls == {"eigvals": 5 + 1, "build_generator": 1}
+    # the per-point loop made 2q + 1 + 2q(q - 1) = 51 eigensolves and as many assemblies;
+    # the whole stencil is now one Newton stack, every point certified
+    assert calls == {"eigvals": 0, "build_generator": 1, "_perron_roots": 1}
+
+
+def test_a_singular_newton_system_leaves_the_other_points_alone(twin_net):
+    # the zero matrix makes its bordered system singular, so the stacked solve fails;
+    # the other point must still get its own Newton root, not the eigvals fallback
+    from chanjump import fcs
+
+    M = tilted_generator(twin_net, {"heat_L": 0.3})
+    p = twin_net.stationary.p
+    alone = fcs._perron_roots(M[None], p)[0]
+    assert fcs._perron_roots(np.stack([M, np.zeros_like(M)]), p) == [alone, 0.0]
+    assert abs(alone - fcs._dominant_eigenvalues(M[None])[0]) <= 1e-15
+
+
+def test_cumulants_fd_memory_does_not_grow_with_the_records():
+    import tracemalloc
+    from dataclasses import replace
+
+    from chanjump import ChannelNetwork
+
+    wide = random_network(np.random.default_rng(60), n_states=60, n_records=16)
+    narrow = ChannelNetwork(
+        states=wide.states,
+        channels=tuple(replace(ch, increments={r: v for r, v in ch.increments.items() if r in wide.records[:4]})
+                       for ch in wide.channels),
+        records=wide.records[:4],
+    )
+    peaks = []
+    for net in (narrow, wide):
+        net.stationary  # cached state is not transient
+        tracemalloc.start()
+        try:
+            cumulants_fd(net)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_null_variation_shared_increments_vanishes():

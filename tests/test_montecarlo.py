@@ -224,3 +224,24 @@ def test_waiting_times_are_exponential():
 def test_sim_config_rejects_non_finite_windows_and_negative_seeds(fields, message):
     with pytest.raises(ValidationError, match=message):
         SimConfig(**{"n_trajectories": 1, "seed": 0, **fields})
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"t_max": 1e300}, {"t_max": 1.0, "burn_in": 1e300}, {"max_jumps": 10**12}, {"max_jumps": 10**400},
+     {"t_max": 1e4, "n_trajectories": 10**6}],
+    ids=["window", "burn-in", "jumps", "huge-jumps", "trajectories"],
+)
+def test_runs_past_the_expected_jump_budget_are_refused(fields):
+    net = build_dot(twin_dot_spec())  # about 0.8 jumps per unit time at stationarity
+    with pytest.raises(ValidationError, match="the run would make about .* jumps, more than 1e"):
+        simulate(net, SimConfig(**{"n_trajectories": 2, "seed": 0, **fields}))
+
+
+def test_expected_jumps_without_a_stationary_state_use_the_largest_escape_rate():
+    net = make_network(["a", "b", "c"], [(0, 1, "r", 3.0), (1, 0, "r", 0.5)], [])
+    with pytest.raises(ValidationError, match="about 3e\\+09 jumps"):
+        simulate(net, SimConfig(n_trajectories=1, seed=0, t_max=1e9, initial=0))
+    with pytest.warns(UserWarning, match="non-ergodic"):
+        stats = simulate(net, SimConfig(n_trajectories=1, seed=0, t_max=10.0, initial=2))
+    assert stats[0].absorbed and stats[0].n_jumps == 0
