@@ -44,6 +44,23 @@ def _open_for_writing(path: str):
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
+class _LazyFile:
+    """A file opened for writing at its first write, so a run refused before then leaves it as it was."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.handle = None
+
+    def write(self, text: str) -> None:
+        if self.handle is None:
+            self.handle = _open_for_writing(self.path)
+        self.handle.write(text)
+
+    def close(self) -> None:
+        if self.handle is not None:
+            self.handle.close()
+
+
 def _model_section(net) -> dict:
     e, e0 = channel_counts(net)
     return {
@@ -256,12 +273,12 @@ def cmd_simulate(args) -> dict:
         initial=args.initial,
         burn_in=args.burn_in,
     )
-    dump_handle = _open_for_writing(args.dump) if args.dump else None
+    dump = _LazyFile(args.dump) if args.dump else None
     try:
-        stats = mc.simulate(net, cfg, dump=dump_handle)
+        stats = mc.simulate(net, cfg, dump=dump)
     finally:
-        if dump_handle:
-            dump_handle.close()
+        if dump is not None:
+            dump.close()
     occupation = np.sum([st.occupation for st in stats], axis=0)
     total_time = occupation.sum()
     report = rpt.new_report("simulate", {})

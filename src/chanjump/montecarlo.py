@@ -13,10 +13,11 @@ matter how the work would be scheduled; the PCG64 output stream is pinned as
 part of the contract, and so is the order in which draws are used (see
 ``_Walk``).
 
-The channel choice is a precomputed table lookup (``_ChannelTable``) and
-each trajectory is walked a chunk of jumps at a time; both reproduce the
-scalar per-jump loop bit for bit (tests/test_sampler_equivalence.py keeps
-that loop as the reference).
+The channel choice is a precomputed table lookup (``_ChannelTable``; on a
+small exact table one lookup walks several jumps) and each trajectory is
+walked a chunk of jumps at a time; both reproduce the scalar per-jump loop
+bit for bit (tests/test_sampler_equivalence.py keeps that loop as the
+reference).
 """
 
 from __future__ import annotations
@@ -42,9 +43,16 @@ _BLOCK = 4096  # random numbers drawn per refill; fixed, part of the stream cont
 # E / N of its (cells / N) bins, so about 1 jump in _CELLS_PER_CHANNEL needs a resolve.
 _TABLE_CELLS = 1 << 16
 _CELLS_PER_CHANNEL = 16
+# An exact table is composed into one of bins**span * N cells, at most _TABLE_CELLS and at
+# most this many per jump the call is expected to make, so building it never dominates a
+# short call.
+_COMPOSITE_CELLS_PER_JUMP = 0.125
 # A run expected to make more jumps than this is refused: at a few million jumps per
 # second it would take minutes or, for a window like 1e300, never end.
 _MAX_EXPECTED_JUMPS = 1e9
+# What a trajectory costs even when it makes no jump (seeding its generator, its first
+# block of exponentials, its statistics), in jumps; counted against _MAX_EXPECTED_JUMPS.
+_TRAJECTORY_JUMPS = 500
 
 
 @dataclass(frozen=True)
@@ -121,8 +129,12 @@ class _ChannelTable:
     with one of the state's own breakpoints strictly inside its bin is split:
     it is resolved per draw by ``resolve``.  ``step`` is the state each cell
     leads to, and ``split`` (the number of cells) for a split cell, so that
-    the next lookup fails.  A state without outgoing rate fires the sentinel
-    E + s, which leads back to s.
+    the next lookup fails; ``leads`` is the same as an array, with N for a
+    split cell.  A state without outgoing rate fires the sentinel E + s,
+    which leads back to s.
+
+    The walk looks up ``lookup`` once per ``span`` jumps (see ``compose``);
+    until a table is composed, ``span`` is 1 and ``lookup`` is ``step``.
     """
 
     def __init__(self, net: ChannelNetwork):
@@ -179,6 +191,8 @@ class _ChannelTable:
         leads.reshape(fire.shape)[right[inside], owner[inner][inside]] = n
         # one int object per state, shared by every cell that leads there
         self.step = np.array([*range(n), self.split], dtype=object)[leads].tolist()
+        self.leads = leads
+        self.span, self.lookup, self.radix = 1, self.step, None
         self.escape = escape
         self.to_state = arrays.to_state.tolist()
         self._breaks = b.tolist()
@@ -186,9 +200,54 @@ class _ChannelTable:
         self._channels = order.tolist()
         self._first_channel = starts.tolist()
 
+    def compose(self, jumps: float) -> None:
+        """Walk ``span`` jumps per lookup, if the table is exact and small.
+
+        The composite ``lookup`` has bins**span * N cells, the most that stay
+        within _TABLE_CELLS and _COMPOSITE_CELLS_PER_JUMP * ``jumps`` (the
+        call's expected jump count).  Its cell (c_1 + bins c_2 + ... +
+        bins**(span-1) c_span) * N + s holds the state that s reaches through
+        bins c_1, ..., c_span in turn.  A table with a split cell, or with one
+        bin (no state has a choice), keeps span 1.
+        """
+        n = self.escape.size
+        bins = self.leads.size // n
+        if bins < 2 or (self.leads == n).any():
+            return
+        cells = min(_TABLE_CELLS, _COMPOSITE_CELLS_PER_JUMP * jumps)
+        span = 1
+        while bins ** (span + 1) * n <= cells:
+            span += 1
+        if span == 1:
+            return
+        step = chain = self.leads.reshape(bins, n)
+        for _ in range(span - 1):
+            chain = step[:, chain].reshape(-1, n)  # row c * len(chain) + r: bins r, then bin c
+        self.span = span
+        self.radix = bins ** np.arange(span)
+        self.lookup = np.array(range(n), dtype=object)[chain.ravel()].tolist()
+
     def offsets(self, u: np.ndarray) -> np.ndarray:
         """bin * N for each uniform: add a state to index ``fire`` or ``step``."""
         return np.searchsorted(self.bounds, u, "right") * len(self.escape)
+
+    def chained(self, offsets: np.ndarray) -> np.ndarray:
+        """The ``lookup`` offset of each whole group of ``span`` consecutive offsets."""
+        if self.span == 1:
+            return offsets
+        groups = offsets.size // self.span
+        return offsets[:groups * self.span].reshape(groups, self.span) @ self.radix
+
+    def fill(self, anchors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """A walk's states from every ``span``-th one: span - 1 gathers on ``leads``."""
+        span = self.span
+        if span == 1:
+            return anchors
+        states = np.empty(offsets.size + 1, dtype=np.intp)
+        states[::span] = anchors
+        for j in range(1, span):
+            states[j::span] = self.leads[offsets[j - 1::span] + states[j - 1:-1:span]]
+        return states
 
     def resolve(self, s: int, u: float) -> int:
         """The channel state s fires for uniform u, from its own breakpoints."""
@@ -201,9 +260,14 @@ class _Walk:
 
     Pairs are taken in stream order: a block of _BLOCK exponentials, then a
     block of _BLOCK uniforms, and pair i is (exponential i, uniform i); the
-    next block is drawn when this one is used up.  A chunk walks the states
-    in Python (one table lookup per jump, and a ``resolve`` after a split
-    cell); waits, times and stopping are numpy passes that keep the direct
+    next block is drawn when this one is used up.  The uniforms are drawn as
+    chunks reach them: a double is exactly one 64-bit draw, and a chunk
+    never starts past the uniforms already drawn, so the next exponential
+    block follows the whole uniform block as before; the uniforms past a
+    trajectory's stop are never drawn.  A chunk walks the states in Python,
+    one table lookup per ``span`` jumps (and a ``resolve`` after a split
+    cell, only met at span 1), and fills the states in between with numpy
+    gathers; waits, times and stopping are numpy passes that keep the direct
     method's scalar float operations: x / esc, then times added left to
     right.  Chunks are sized from the expected number of remaining jumps, so
     a walk past the stop is short and is discarded.
@@ -214,27 +278,28 @@ class _Walk:
         self.gen = gen
         self.state = state
         self.rate = rate
-        self.exp = self.uni = None
-        self.cursor = _BLOCK
+        self.exp = None
+        self.uni = np.empty(_BLOCK)
+        self.cursor = self.drawn = _BLOCK
         self.absorbed = False
 
-    def _path(self, offsets: np.ndarray, us: np.ndarray) -> tuple[list[int], list[tuple[int, int]]]:
-        """States from the current one through one jump per uniform.
+    def _path(self, lookups: np.ndarray, us: np.ndarray) -> tuple[list[int], list[tuple[int, int]]]:
+        """Every ``span``-th state from the current one, one per entry of ``lookups``.
 
-        Returns the states (one more than ``us``) and the (position, channel)
-        pairs of the jumps whose cell had to be resolved.
+        Returns the states (one more than ``lookups``) and the (position,
+        channel) pairs of the jumps whose cell had to be resolved.
         """
         tab = self.table
-        step, split = tab.step, tab.split
-        offsets = offsets.tolist()
+        lookup, split = tab.lookup, tab.split
+        lookups = lookups.tolist()
         s = self.state
         path = [s]
         resolved = []
-        rest = iter(offsets)
+        rest = iter(lookups)
         todo = rest
         while True:
             try:
-                path += (s := step[i + s] for i in todo)
+                path += (s := lookup[i + s] for i in todo)
             except IndexError:  # the lookup after a split cell
                 pass
             if path[-1] != split:
@@ -243,8 +308,8 @@ class _Walk:
             e = tab.resolve(path[m], float(us[m]))
             resolved.append((m, e))
             path[-1] = s = tab.to_state[e]
-            # the failed lookup took offsets[m + 1] from `rest`; retry it first
-            todo = itertools.chain(offsets[m + 1:m + 2], rest)
+            # the failed lookup took lookups[m + 1] from `rest`; retry it first
+            todo = itertools.chain(lookups[m + 1:m + 2], rest)
 
     def run(self, limit: float, budget: float, side: str, tally: _Tally | None = None) -> float:
         """Jump from time 0 until a stop and return the end time.
@@ -260,10 +325,9 @@ class _Walk:
         t = 0.0
         made = 0
         while True:
-            if self.cursor == _BLOCK:
+            if self.cursor == _BLOCK:  # cursor <= drawn, so every uniform of the block is drawn
                 self.exp = self.gen.standard_exponential(size=_BLOCK)  # = exponential(), bit for bit
-                self.uni = self.gen.random(size=_BLOCK)
-                self.cursor = 0
+                self.cursor = self.drawn = 0
             c = self.cursor
             if budget < math.inf:
                 want = budget - made
@@ -272,10 +336,14 @@ class _Walk:
                 expected = min((limit - t) * rate, _BLOCK)
                 want = int(expected + 3.0 * math.sqrt(expected)) + 16
             k = min(_BLOCK - c, want)
+            if c + k > self.drawn:
+                self.gen.random(out=self.uni[self.drawn:c + k])
+                self.drawn = c + k
             us = self.uni[c:c + k]
             offsets = tab.offsets(us)
-            path, resolved = self._path(offsets, us)
-            before = np.fromiter(path, dtype=np.intp, count=k)
+            path, resolved = self._path(tab.chained(offsets), us)
+            states = tab.fill(np.fromiter(path, dtype=np.intp, count=len(path)), offsets)
+            before = states[:k]
             esc = tab.escape[before]
             dead = np.flatnonzero(esc <= 0)
             a = int(dead[0]) if dead.size else k
@@ -295,10 +363,10 @@ class _Walk:
                 for m, e in resolved:
                     if m < jumps:
                         fired[m] = e
-                tally(fired, before[:jumps], dt[:jumps], times[1:jumps + 1], path[1:jumps + 1])
+                tally(fired, before[:jumps], dt[:jumps], times[1:jumps + 1], states[1:jumps + 1])
             made += jumps
             t = float(times[jumps])
-            self.state = path[jumps]
+            self.state = int(states[jumps])
             self.cursor = c + used
             if stop:
                 return t
@@ -316,7 +384,8 @@ class _Tally:
         self.counts += np.bincount(fired, minlength=self.counts.size)
         np.add.at(self.occupation, before, waits)  # in jump order, as the scalar sums
         if self.dump is not None:
-            self.dump.write("".join(f"{t!r},{e},{s}\n" for t, e, s in zip(times.tolist(), fired.tolist(), after)))
+            lines = zip(times.tolist(), fired.tolist(), after.tolist())
+            self.dump.write("".join(f"{t!r},{e},{s}\n" for t, e, s in lines))
 
 
 def _strongly_connected(net: ChannelNetwork) -> bool:
@@ -364,12 +433,14 @@ def _initial_sampler(net: ChannelNetwork, cfg: SimConfig):
     return None, np.cumsum(p)
 
 
-def _check_expected_jumps(net: ChannelNetwork, cfg: SimConfig, escape: np.ndarray) -> None:
-    """Refuse a run whose expected jump count passes _MAX_EXPECTED_JUMPS.
+def _check_expected_jumps(net: ChannelNetwork, cfg: SimConfig, escape: np.ndarray) -> float:
+    """The run's expected jump count; a ValidationError past _MAX_EXPECTED_JUMPS.
 
     The jump rate is the stationary one, sum_s p_s esc_s, or the largest
     escape rate when there is no stationary state.  Per trajectory the count
-    is (burn_in + t_max) * rate, or max_jumps + burn_in * rate.
+    is (burn_in + t_max) * rate, or max_jumps + burn_in * rate.  The bound
+    also counts _TRAJECTORY_JUMPS per trajectory, the cost of one that makes
+    no jump.
     """
     try:
         rate = float(net.stationary.p @ escape)
@@ -379,12 +450,16 @@ def _check_expected_jumps(net: ChannelNetwork, cfg: SimConfig, escape: np.ndarra
         per_trajectory = (cfg.burn_in + cfg.t_max) * rate
     else:
         per_trajectory = min(cfg.max_jumps, 1e300) + cfg.burn_in * rate
-    expected = min(cfg.n_trajectories, 1e300) * per_trajectory  # inf, never OverflowError
-    if not expected <= _MAX_EXPECTED_JUMPS:
+    trajectories = min(cfg.n_trajectories, 1e300)  # a float: the products saturate to inf, never OverflowError
+    expected = trajectories * per_trajectory
+    work = expected + trajectories * _TRAJECTORY_JUMPS
+    if not work <= _MAX_EXPECTED_JUMPS:
         raise ValidationError(
-            f"the run would make about {expected:.3g} jumps, more than {_MAX_EXPECTED_JUMPS:.0e}; "
+            f"the run would make about {work:.3g} jumps, more than {_MAX_EXPECTED_JUMPS:.0e} "
+            f"(each trajectory counts {_TRAJECTORY_JUMPS} for its setup); "
             "shorten the window or the jump budget, or use fewer trajectories"
         )
+    return expected
 
 
 def simulate(net: ChannelNetwork, cfg: SimConfig, dump: IO[str] | None = None) -> list[TrajectoryStats]:
@@ -394,10 +469,11 @@ def simulate(net: ChannelNetwork, cfg: SimConfig, dump: IO[str] | None = None) -
     absorbed); in the fixed-window mode the remaining time still counts as
     occupation of that state.  ``dump`` receives one "time,channel,state"
     line per jump, prefixed by a "# trajectory k" line per trajectory.  A
-    run expected to make more than 1e9 jumps is a ValidationError.
+    run expected to make more than 1e9 jumps, counting 500 per trajectory,
+    is a ValidationError; nothing is written to ``dump`` before it starts.
     """
     table = _ChannelTable(net)
-    _check_expected_jumps(net, cfg, table.escape)
+    table.compose(_check_expected_jumps(net, cfg, table.escape))
     if not _strongly_connected(net):
         warnings.warn("simulating a non-ergodic network", stacklevel=2)
     fixed_initial, init_cum = _initial_sampler(net, cfg)

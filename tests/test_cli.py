@@ -3,6 +3,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -538,6 +540,44 @@ def test_simulate_refuses_a_run_past_the_jump_budget(flags, twin_model, tmp_path
     err = capsys.readouterr().err
     assert "validation error: the run would make about" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--horizon", "1e300"], "the run would make about"),
+        (["--horizon", "10", "--initial", "7"], "initial state 7 out of range"),
+        (["--horizon", "10"], "network is not ergodic"),
+    ],
+    ids=["work-bound", "initial-state", "non-ergodic"],
+)
+def test_a_refused_simulate_leaves_the_dump_untouched(flags, message, twin_model, tmp_path, capsys):
+    model = twin_model
+    if message == "network is not ergodic":
+        # two disconnected pairs of states: no unique stationary state to start from
+        pairs = [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")]
+        model = tmp_path / "disconnected.json"
+        model.write_text(json.dumps({"states": ["a", "b", "c", "d"], "records": [], "channels": [
+            {"from": i, "to": j, "reservoir": "r", "rate": 1.0} for i, j in pairs]}))
+    dump = tmp_path / "dump.txt"
+    dump.write_text("an earlier run\n")
+    argv = ["simulate", str(model), "--seed", "1", "--trajectories", "2", "--dump", str(dump)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the non-ergodic warning comes before the refusal
+        assert run(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert f"validation error: {message}" in err and "Traceback" not in err
+    assert dump.read_text() == "an earlier run\n"
+
+
+def test_simulate_counts_a_cost_per_trajectory(twin_model, tmp_path, capsys):
+    # about 2e-8 jumps in all, but a hundred million trajectories to seed
+    argv = ["simulate", twin_model, "--seed", "1", "--trajectories", "100000000", "--horizon", "1e-9"]
+    t0 = time.perf_counter()
+    assert run(argv) == 1
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert "validation error: the run would make about 5e+10 jumps" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", ["--dump", "--json"])

@@ -20,6 +20,8 @@ from chanjump import (
     twin_dot_spec,
 )
 
+from chanjump.montecarlo import _ChannelTable, _check_expected_jumps
+
 from conftest import make_network, random_network, two_state_cycle
 
 
@@ -236,6 +238,18 @@ def test_runs_past_the_expected_jump_budget_are_refused(fields):
     net = build_dot(twin_dot_spec())  # about 0.8 jumps per unit time at stationarity
     with pytest.raises(ValidationError, match="the run would make about .* jumps, more than 1e"):
         simulate(net, SimConfig(**{"n_trajectories": 2, "seed": 0, **fields}))
+
+
+def test_each_trajectory_counts_against_the_work_bound():
+    net = build_dot(twin_dot_spec())
+    with pytest.raises(ValidationError, match="about 5e\\+10 jumps"):
+        simulate(net, SimConfig(n_trajectories=10**8, seed=0, t_max=1e-9))
+    # the benchmark's twin calls and the 10^4 x 10^3 acceptance run stay within the bound
+    table = _ChannelTable(net)
+    for n, t_max in [(50, 1000.0), (20, 20.0), (10_000, 1000.0), (10**6, 1e-9)]:
+        cfg = SimConfig(n_trajectories=n, seed=0, t_max=t_max)
+        expected = _check_expected_jumps(net, cfg, table.escape)
+        assert expected == pytest.approx(n * t_max * float(net.stationary.p @ table.escape))
 
 
 def test_expected_jumps_without_a_stationary_state_use_the_largest_escape_rate():
