@@ -24,7 +24,7 @@ from . import fcs
 from . import montecarlo as mc
 from . import records as rec
 from . import report as rpt
-from .errors import NumericalError, ValidationError
+from .errors import NonErgodicError, NumericalError, ValidationError
 from .linalg import DEFAULT_TOL, stationary_state
 from .network import build_record_map, channel_counts, load_network
 
@@ -279,6 +279,7 @@ def cmd_simulate(args) -> dict:
     finally:
         if dump is not None:
             dump.close()
+    emp = mc.empirical_cumulants(stats) if cfg.t_max is not None else mc._jump_budget_means(stats)
     occupation = np.sum([st.occupation for st in stats], axis=0)
     total_time = occupation.sum()
     report = rpt.new_report("simulate", {})
@@ -293,11 +294,10 @@ def cmd_simulate(args) -> dict:
         "occupation_fractions": rpt.vector(occupation / total_time) if total_time > 0 else [],
         "method": "monte_carlo",
     }
-    emp = mc.empirical_cumulants(stats) if cfg.t_max is not None else mc._jump_budget_means(stats)
     report["cumulants_monte_carlo"] = rpt.cumulant_section(emp)
     try:
         report["cumulants_analytic"] = rpt.cumulant_section(fcs.analytic_cumulants(net))
-    except NumericalError:
+    except NonErgodicError:
         pass  # non-ergodic networks have no stationary reference
     return report
 

@@ -120,18 +120,25 @@ def _fix_sign(c: np.ndarray) -> np.ndarray:
 def _restricted_rank(D: np.ndarray, DK: np.ndarray, dim: int, tol: float):
     """(rank, Vh) of DK, the rows of D projected onto a kernel of dimension dim.
 
-    Singular values count against tol times the largest one of D itself, so
-    an exactly annihilated kernel compares against the record scale rather
-    than against roundoff noise.
+    Each row of D and DK is divided by that row's largest |d| (a zero row
+    stays zero), so every record counts against its own scale, not against
+    the largest record's.  The scaled singular values then count against
+    tol times the largest one of the scaled D, so an exactly annihilated
+    kernel compares against the record scale rather than against roundoff
+    noise.  Vh, for the witness and the measured rows, is the unscaled
+    DK's; it is None when the rank is 0.
     """
     if dim == 0 or D.shape[0] == 0:
         return 0, None
+    row_max = np.abs(D).max(axis=1, keepdims=True)
+    scale = np.where(row_max > 0, row_max, 1.0)
     try:
-        smax_D = float(np.linalg.svd(D, compute_uv=False)[0])
-        _, s, Vh = np.linalg.svd(DK, full_matrices=False)
+        smax_D = float(np.linalg.svd(D / scale, compute_uv=False)[0])
+        s = np.linalg.svd(DK / scale, compute_uv=False)
+        rank = min(int(np.sum(s > tol * smax_D)), dim)
+        return rank, np.linalg.svd(DK, full_matrices=False)[2] if rank else None
     except np.linalg.LinAlgError as exc:  # e.g. increments so large that centring overflows
         raise NumericalError(f"SVD of the record map failed: {exc}") from exc
-    return min(int(np.sum(s > tol * smax_D)), dim), Vh
 
 
 def _kernel_verdict(D: np.ndarray, DK: np.ndarray, dim: int, tol: float) -> CompletenessVerdict:

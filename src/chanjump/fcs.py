@@ -25,7 +25,6 @@ exp(-chi (eps - mu_r)) for electrons entering the dot.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -263,17 +262,16 @@ def analytic_cumulants(net: ChannelNetwork) -> CumulantReport:
 
 
 def _stencil_points(q: int) -> np.ndarray:
-    """Every stencil point as a row (i, s_i, j, s_j): chi = 0, then record by record
-    +h e_i, -h e_i and the four sign points of every pair (i, j > i).
+    """Every stencil point as a row (i, s_i, j, s_j), in the order of the per-point
+    loop: chi = 0, +h e_i for every record, -h e_i for every record, then the four
+    sign points of every pair (i, j > i).
 
     The point's exponents are s_i h d_i + s_j h d_j; record index q is a zero
     row, so (q, 1, q, 1) is chi = 0 and (i, s, q, 1) a single-record point.
     """
-    rows = [(q, 1, q, 1)]
-    for i in range(q):
-        rows += [(i, 1, q, 1), (i, -1, q, 1)]
-        rows += [(i, si, j, sj) for j in range(i + 1, q) for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    return np.array(rows, dtype=np.intp).reshape(-1, 4)
+    rows = [(q, 1, q, 1)] + [(i, s, q, 1) for s in (1, -1) for i in range(q)]
+    rows += [(i, si, j, sj) for i in range(q) for j in range(i + 1, q) for si in (1, -1) for sj in (1, -1)]
+    return np.array(rows, dtype=np.intp)
 
 
 def _stencil_exponents(hD: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -293,26 +291,18 @@ def _stencil_exponents(hD: np.ndarray, points: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _stencil(records: tuple[str, ...], h: float):
-    """Every stencil point as a counting field, in the order of the per-point loop."""
-    yield {}
-    yield from ({rec: h} for rec in records)
-    yield from ({rec: -h} for rec in records)
-    for i, ri in enumerate(records):
-        for rj in records[i + 1 :]:
-            yield from ({ri: si, rj: sj} for si, sj in ((h, h), (h, -h), (-h, h), (-h, -h)))
-
-
 def cumulants_fd(net: ChannelNetwork, h: float = 1e-4) -> CumulantReport:
     """Means and noise from central differences of the dominant eigenvalue.
 
     First derivatives use the two-point stencil, the noise diagonal the
     three-point stencil, and mixed entries the four-point stencil.  The
-    whole stencil, chi = 0 first, is tilted as one stack, split into chunks
-    of about _STACK_CELLS cells, and each chunk's Perron roots are found
-    together; every point is bitwise what ``scgf`` returns for it.  A
-    failure is replayed point by point, so the error names the first
-    failing point of the stencil order.
+    whole stencil, in the order of the per-point loop (chi = 0, +h on every
+    record, -h on every record, then the four sign points of every pair), is
+    tilted as one stack, split into chunks of about _STACK_CELLS cells, and
+    each chunk's Perron roots are found together; every point is bitwise
+    what ``scgf`` returns for it.  A failing chunk is replayed point by
+    point through ``scgf``; every earlier chunk succeeded, so the error
+    names the first failing point of the per-point loop.
     """
     p = net.stationary.p  # fail early on non-ergodic input
     if h * h == 0:
@@ -325,24 +315,24 @@ def cumulants_fd(net: ChannelNetwork, h: float = 1e-4) -> CumulantReport:
     points = _stencil_points(q)
     chunk = max(1, _STACK_CELLS // (net.n_states**2 + net.n_channels))
     lam = []
-    try:
-        for start in range(0, len(points), chunk):
-            M = _tilted_stack(net, _stencil_exponents(hD, points[start : start + chunk]))
-            lam += _perron_roots(M, p)
-    except NumericalError:
-        for chi in _stencil(recs, h):
-            scgf(net, chi)
-        raise
-    lam0, rest = lam[0], iter(lam[1:])  # record by record: +h, -h, then four points per later record
-    up, down, S = [], [], np.zeros((q, q))
-    for i in range(q):
-        up.append(next(rest))
-        down.append(next(rest))
-        S[i, i] = (up[i] - 2 * lam0 + down[i]) / h**2
-        for j in range(i + 1, q):
-            pp, pm, mp, mm = itertools.islice(rest, 4)
-            S[i, j] = S[j, i] = (pp - pm - mp + mm) / (4 * h**2)
-    means = {rec: (u - d) / (2 * h) for rec, u, d in zip(recs, up, down)}
+    for start in range(0, len(points), chunk):
+        rows = points[start : start + chunk]
+        try:
+            lam += _perron_roots(_tilted_stack(net, _stencil_exponents(hD, rows)), p)
+        except NumericalError:
+            for i, si, j, sj in rows.tolist():
+                scgf(net, {recs[k]: s * h for k, s in ((i, si), (j, sj)) if k < q})
+            raise
+    if h * h == math.inf:  # only tiny increments get here; h**2 would raise OverflowError
+        raise ValidationError(f"finite-difference step {h!r} is too large: its square overflows")
+    lam = np.array(lam)
+    lam0, up, down, mixed = lam[0], lam[1 : q + 1], lam[q + 1 : 2 * q + 1], lam[2 * q + 1 :].reshape(-1, 4)
+    S = np.zeros((q, q))
+    with np.errstate(all="ignore"):  # as Python floats: an overflow gives inf, not a warning
+        S[range(q), range(q)] = (up - 2 * lam0 + down) / h**2
+        i, j = np.triu_indices(q, 1)
+        S[i, j] = S[j, i] = (mixed[:, 0] - mixed[:, 1] - mixed[:, 2] + mixed[:, 3]) / (4 * h**2)
+        means = dict(zip(recs, ((up - down) / (2 * h)).tolist()))
     return CumulantReport(records=recs, means=means, noise=S, method="finite_difference")
 
 

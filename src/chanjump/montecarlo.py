@@ -462,6 +462,17 @@ def _check_expected_jumps(net: ChannelNetwork, cfg: SimConfig, escape: np.ndarra
     return expected
 
 
+def _fsum(values, what: str) -> float:
+    """math.fsum of the values; a NumericalError where the sum passes the largest double."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:  # finite terms whose sum overflows
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericalError(f"{what} exceeds the largest double")
+    return total
+
+
 def simulate(net: ChannelNetwork, cfg: SimConfig, dump: IO[str] | None = None) -> list[TrajectoryStats]:
     """Run independent trajectories and collect per-trajectory statistics.
 
@@ -471,6 +482,7 @@ def simulate(net: ChannelNetwork, cfg: SimConfig, dump: IO[str] | None = None) -
     line per jump, prefixed by a "# trajectory k" line per trajectory.  A
     run expected to make more than 1e9 jumps, counting 500 per trajectory,
     is a ValidationError; nothing is written to ``dump`` before it starts.
+    A record total past the largest double is a NumericalError.
     """
     table = _ChannelTable(net)
     table.compose(_check_expected_jumps(net, cfg, table.escape))
@@ -486,38 +498,41 @@ def simulate(net: ChannelNetwork, cfg: SimConfig, dump: IO[str] | None = None) -
     budget = math.inf if time_mode else cfg.max_jumps
 
     results: list[TrajectoryStats] = []
-    for k in range(cfg.n_trajectories):
-        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, k))))
-        if fixed_initial is not None:
-            s = fixed_initial
-        else:
-            s = min(int(np.searchsorted(init_cum, gen.random(), "right")), net.n_states - 1)
-        walk = _Walk(table, gen, s, rate)
-        if cfg.burn_in > 0:
-            walk.run(cfg.burn_in, math.inf, "left")  # same dynamics, nothing recorded
-        if dump is not None:
-            dump.write(f"# trajectory {k}\n")
-        tally = _Tally(net.n_states, net.n_channels, dump)
-        t = walk.run(horizon, budget, "right", tally)
-        occupation = tally.occupation
-        if time_mode:
-            occupation[walk.state] += horizon - t
-            t = horizon
-        counts = tally.counts.astype(float)
-        used = np.flatnonzero(counts)
-        terms = (increments[:, used] * counts[used]).tolist()
-        counts.flags.writeable = False
-        occupation.flags.writeable = False
-        results.append(
-            TrajectoryStats(
-                totals={rec: math.fsum(row) for rec, row in zip(net.records, terms)},
-                jump_counts=counts,
-                elapsed=t,
-                n_jumps=int(tally.counts.sum()),
-                absorbed=walk.absorbed,
-                occupation=occupation,
+    # a wait or jump time past the largest double is inf and passes every window;
+    # an infinite record total is refused by _fsum
+    with np.errstate(over="ignore"):
+        for k in range(cfg.n_trajectories):
+            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, k))))
+            if fixed_initial is not None:
+                s = fixed_initial
+            else:
+                s = min(int(np.searchsorted(init_cum, gen.random(), "right")), net.n_states - 1)
+            walk = _Walk(table, gen, s, rate)
+            if cfg.burn_in > 0:
+                walk.run(cfg.burn_in, math.inf, "left")  # same dynamics, nothing recorded
+            if dump is not None:
+                dump.write(f"# trajectory {k}\n")
+            tally = _Tally(net.n_states, net.n_channels, dump)
+            t = walk.run(horizon, budget, "right", tally)
+            occupation = tally.occupation
+            if time_mode:
+                occupation[walk.state] += horizon - t
+                t = horizon
+            counts = tally.counts.astype(float)
+            used = np.flatnonzero(counts)
+            terms = (increments[:, used] * counts[used]).tolist()
+            counts.flags.writeable = False
+            occupation.flags.writeable = False
+            results.append(
+                TrajectoryStats(
+                    totals={rec: _fsum(row, f"total of record {rec!r}") for rec, row in zip(net.records, terms)},
+                    jump_counts=counts,
+                    elapsed=t,
+                    n_jumps=int(tally.counts.sum()),
+                    absorbed=walk.absorbed,
+                    occupation=occupation,
+                )
             )
-        )
     return results
 
 
@@ -531,11 +546,19 @@ def _pooled_means(stats: Sequence[TrajectoryStats]):
     records = tuple(stats[0].totals.keys())
     X = np.array([[st.totals[rec] for rec in records] for st in stats]).reshape(len(stats), len(records))
     T = np.array([st.elapsed for st in stats], dtype=float)
-    total_time = math.fsum(T)
+    total_time = _fsum(T, "pooled simulated time")
     if not total_time > 0:
         raise ValidationError("no simulated time elapsed: every trajectory started absorbed")
-    means = {rec: math.fsum(X[:, i]) / total_time for i, rec in enumerate(records)}
+    means = {rec: _fsum(X[:, i], f"pooled total of record {rec!r}") / total_time for i, rec in enumerate(records)}
     return records, X, T, means
+
+
+def _finite(report: CumulantReport) -> CumulantReport:
+    """The report, or a NumericalError where a mean, its standard error or a noise entry overflowed."""
+    values = [*report.means.values(), *report.mean_errors.values()]
+    if not (np.isfinite(values).all() and (report.noise is None or np.isfinite(report.noise).all())):
+        raise NumericalError("Monte Carlo estimates exceed the largest double; rescale the record increments")
+    return report
 
 
 def empirical_cumulants(stats: Sequence[TrajectoryStats]) -> CumulantReport:
@@ -544,7 +567,8 @@ def empirical_cumulants(stats: Sequence[TrajectoryStats]) -> CumulantReport:
     Means pool totals over pooled time; the noise matrix is the
     across-trajectory covariance of equal-window totals divided by the
     window.  Standard errors come from 10 contiguous trajectory batches
-    (2 when there are fewer than 20 trajectories).
+    (2 when there are fewer than 20 trajectories).  A mean, mean standard
+    error or noise entry past the largest double is a NumericalError.
     """
     if len(stats) < 2:
         raise ValidationError("need at least 2 trajectories to estimate cumulants")
@@ -553,33 +577,33 @@ def empirical_cumulants(stats: Sequence[TrajectoryStats]) -> CumulantReport:
         raise ValidationError("noise estimation requires equal observation windows")
     records, X, _, means = _pooled_means(stats)
     n = len(stats)
-    noise = np.cov(X, rowvar=False, ddof=1).reshape(len(records), len(records)) / T
-
-    per_rate = X / T
-    mean_errors = {
-        rec: float(np.std(per_rate[:, i], ddof=1) / math.sqrt(n))
-        for i, rec in enumerate(records)
-    }
-    n_batches = 10 if n >= 20 else 2
-    edges = np.linspace(0, n, n_batches + 1, dtype=int)
-    batch_S = []
-    for b in range(n_batches):
-        chunk = X[edges[b]:edges[b + 1]]
-        if len(chunk) >= 2:
-            batch_S.append(np.cov(chunk, rowvar=False, ddof=1).reshape(len(records), len(records)) / T)
-    noise_errors = (
-        np.std(np.array(batch_S), axis=0, ddof=1) / math.sqrt(len(batch_S))
-        if len(batch_S) >= 2
-        else np.full((len(records), len(records)), np.nan)
-    )
-    return CumulantReport(
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _finite
+        noise = np.cov(X, rowvar=False, ddof=1).reshape(len(records), len(records)) / T
+        per_rate = X / T
+        mean_errors = {
+            rec: float(np.std(per_rate[:, i], ddof=1) / math.sqrt(n))
+            for i, rec in enumerate(records)
+        }
+        n_batches = 10 if n >= 20 else 2
+        edges = np.linspace(0, n, n_batches + 1, dtype=int)
+        batch_S = []
+        for b in range(n_batches):
+            chunk = X[edges[b]:edges[b + 1]]
+            if len(chunk) >= 2:
+                batch_S.append(np.cov(chunk, rowvar=False, ddof=1).reshape(len(records), len(records)) / T)
+        noise_errors = (
+            np.std(np.array(batch_S), axis=0, ddof=1) / math.sqrt(len(batch_S))
+            if len(batch_S) >= 2
+            else np.full((len(records), len(records)), np.nan)
+        )
+    return _finite(CumulantReport(
         records=records,
         means=means,
         noise=noise,
         method="monte_carlo",
         mean_errors=mean_errors,
         noise_errors=noise_errors,
-    )
+    ))
 
 
 def _jump_budget_means(stats: Sequence[TrajectoryStats]) -> CumulantReport:
@@ -588,16 +612,18 @@ def _jump_budget_means(stats: Sequence[TrajectoryStats]) -> CumulantReport:
     The standard error is the ratio estimator's, sqrt(sum_k (X_k - m T_k)^2 /
     (n (n - 1))) / mean(T).  Jump-budget trajectories end at unequal times,
     so the noise is not estimated: ``noise`` is None and ``note`` says why.
+    A mean or standard error past the largest double is a NumericalError.
     """
     records, X, T, means = _pooled_means(stats)
     n = len(stats)
-    residuals = X - np.outer(T, [means[rec] for rec in records])
-    errors = np.sqrt((residuals**2).sum(axis=0) / (n * (n - 1))) / (math.fsum(T) / n)
-    return CumulantReport(
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _finite
+        residuals = X - np.outer(T, [means[rec] for rec in records])
+        errors = np.sqrt((residuals**2).sum(axis=0) / (n * (n - 1))) / (math.fsum(T) / n)
+    return _finite(CumulantReport(
         records=records,
         means=means,
         noise=None,
         method="monte_carlo",
         mean_errors={rec: float(v) for rec, v in zip(records, errors)},
         note="noise needs equal observation windows; jump-budget trajectories have unequal ones",
-    )
+    ))

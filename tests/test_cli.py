@@ -445,6 +445,18 @@ def test_step_whose_square_underflows_is_an_input_error(twin_model, capsys):
     assert "validation error: finite-difference step 1e-300 is too small" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("records", [["x"], []], ids=["zero-increments", "no-records"])
+def test_step_whose_square_overflows_is_an_input_error(records, tmp_path, capsys):
+    # zero increments keep every exponent at 0, so the stencil succeeds and only h**2 overflows
+    path = tmp_path / "silent.json"
+    path.write_text(json.dumps({"states": ["a", "b"], "records": records, "channels": [
+        _channel("a", "b", "r", 1.0), _channel("b", "a", "r", 1.0)]}))
+    assert run(["analyze", str(path), "--fd", "--fd-step", "1e200"]) == 1
+    err = capsys.readouterr().err
+    assert "validation error: finite-difference step 1e+200 is too large: its square overflows" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # one state solution per network
 
@@ -540,6 +552,58 @@ def test_simulate_refuses_a_run_past_the_jump_budget(flags, twin_model, tmp_path
     err = capsys.readouterr().err
     assert "validation error: the run would make about" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "x, rate, flags, message",
+    [
+        # two record totals of 1e308 pool past the largest double
+        (1e308, 1.0, ["--jumps", "2"], "total of record 'x' exceeds the largest double"),
+        # the totals are finite, their spread is not: se inf and an inf noise entry
+        (1e200, 1.0, ["--horizon", "10"], "Monte Carlo estimates exceed the largest double"),
+        (1e200, 1.0, ["--jumps", "2"], "Monte Carlo estimates exceed the largest double"),
+        # about ten jumps per trajectory, but three windows of 1e308 pool past the largest double
+        (1.0, 1e-307, ["--horizon", "1e308"], "pooled simulated time exceeds the largest double"),
+    ],
+    ids=["record-total", "noise", "standard-error", "pooled-time"],
+)
+def test_simulate_past_the_largest_double_is_a_numerical_error(x, rate, flags, message, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"states": ["a", "b"], "records": ["x"], "channels": [
+        _channel("a", "b", "r", rate, x=x), _channel("b", "a", "r", rate, x=x)]}))
+    out = tmp_path / "s.json"
+    assert run(["simulate", str(path), "--seed", "1", "--trajectories", "3", "--json", str(out)] + flags) == 2
+    captured = capsys.readouterr()
+    assert f"numerical error: {message}" in captured.err
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_simulate_does_not_drop_an_analytic_noise_overflow(tmp_path, capsys):
+    # the Monte Carlo estimates are finite, the analytic noise is not: exit 2, not a report without it
+    path = tmp_path / "huge_increments.json"
+    path.write_text(json.dumps({"states": ["a", "b"], "records": ["x", "y"], "channels": [
+        _channel("b", "a", "r", 1, x=1, y=1e308), _channel("a", "b", "r", 1),
+        _channel("b", "a", "t", 1, y=1e308),
+    ]}))
+    assert run(["simulate", str(path), "--seed", "1", "--trajectories", "3", "--horizon", "1e-300"]) == 2
+    assert "numerical error: noise matrix exceeds the largest double" in capsys.readouterr().err
+
+
+def test_a_record_counts_against_its_own_scale(tmp_path, capsys):
+    # x differs between the two b->a channels; y is 1e12 on every channel
+    path = tmp_path / "scales.json"
+    path.write_text(json.dumps({"states": ["a", "b"], "records": ["x", "y"], "channels": [
+        _channel("a", "b", "L", 1.0, y=1e12), _channel("b", "a", "L", 1.0, x=1, y=1e12),
+        _channel("b", "a", "R", 1.0, x=2, y=1e12),
+    ]}))
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(path), "--json", str(out)]) == 0
+    assert "d_lost=1  complete=no" in capsys.readouterr().out
+    kernel = json.loads(out.read_text())["kernel"]
+    assert kernel["d_lost"] == 1 and not kernel["complete"]
+    assert run(["diagnose", str(path), "--measured", "y", "--target", "x", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["diagnosis"]["targets"][0]["predictable"] is False
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -388,6 +389,38 @@ def test_lost_rank_invariant_under_rate_rescaling():
             records=net.records,
         )
         assert completeness_test(scaled, D).lost_rank == before
+
+
+def _rescaled(net, rec, factor):
+    """The network with every increment of record rec multiplied by factor."""
+    channels = tuple(
+        replace(ch, increments={r: v * factor if r == rec else v for r, v in ch.increments.items()})
+        for ch in net.channels
+    )
+    return ChannelNetwork(states=net.states, channels=channels, records=net.records)
+
+
+def _verdicts(net):
+    """d_lost, then for the first m records measured: the remaining dimension and every later target's verdict."""
+    recs = net.records
+    out = [completeness_test(net, build_record_map(net, recs)).lost_rank]
+    for m in range(len(recs)):
+        D_meas = build_record_map(net, recs[:m])
+        out.append(remaining_kernel(net, D_meas).dim)
+        for target in recs[m:]:
+            verdict = predictability_test(net, D_meas, build_record_map(net, [target]))
+            out.append((verdict.complete, verdict.lost_rank))
+    return out
+
+
+@pytest.mark.parametrize("k", [-60, -40, -3, 1, 40, 60])
+def test_verdicts_invariant_under_rescaling_one_record_by_a_power_of_two(k):
+    # every record counts against its own scale, so none hides behind a larger one
+    rng = np.random.default_rng(113 + k)
+    for _ in range(25):
+        net = random_network(rng, n_records=int(rng.integers(2, 5)))
+        rec = net.records[int(rng.integers(len(net.records)))]
+        assert _verdicts(_rescaled(net, rec, 2.0**k)) == _verdicts(net)
 
 
 def test_velocity_only_kernel_is_larger():

@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chanjump import (
@@ -284,10 +284,9 @@ def fd_outcome(fd, net, h):
 
 
 def stencil_fields(records, h):
-    """The stencil in stack order: chi = 0, then per record +h, -h and its mixed points."""
-    fields = [{}]
+    """The stencil in stack order: chi = 0, +h on every record, -h on every record, then the mixed points."""
+    fields = [{}] + [{rec: h} for rec in records] + [{rec: -h} for rec in records]
     for i, ri in enumerate(records):
-        fields += [{ri: h}, {ri: -h}]
         for rj in records[i + 1 :]:
             fields += [{ri: si, rj: sj} for si, sj in ((h, h), (h, -h), (-h, h), (-h, -h))]
     return fields
@@ -416,6 +415,53 @@ def test_cumulants_fd_errors_match_the_per_point_loop():
     broken = make_network(["a", "b", "c"], [(0, 1, "r", 1.0, "", {"n": 1.0}), (1, 0, "r", 1.0)], ["n"])
     assert fd_outcome(cumulants_fd, broken, 1e-4)[0] is NonErgodicError
     assert not assert_same_fd(broken, 1e-4)
+
+
+def replayed_fd(net, h, points_per_chunk, monkeypatch):
+    """``cumulants_fd``'s outcome at the given chunk size, with the fields it replayed through ``scgf``."""
+    replayed = []
+
+    def counted(n, chi):
+        replayed.append(chi)
+        return scgf(n, chi)
+
+    monkeypatch.setattr(fcs, "_STACK_CELLS", points_per_chunk * (net.n_states**2 + net.n_channels))
+    monkeypatch.setattr(fcs, "scgf", counted)
+    return fd_outcome(cumulants_fd, net, h), replayed
+
+
+@pytest.mark.parametrize("points_per_chunk", [1, 2, 4])
+def test_only_the_failing_chunk_is_replayed(points_per_chunk, monkeypatch):
+    # at h = 400 only the mixed (+h, +h) points overflow (400 + 400), and they come after
+    # the 2q + 1 single-record points, so the failing chunk is a late one
+    recs = ["w", "x", "y", "z"]
+    net = make_network(["a", "b"], [(0, 1, "r", 1.0, "", dict.fromkeys(recs, 1.0)), (1, 0, "r", 2.0)], recs)
+    per_point = fd_outcome(lambda n, step: reference_cumulants_fd(n, step, root=scgf), net, 400.0)
+    assert per_point == (NumericalError, "counting-field exponent 800 overflows; use smaller fields")
+    outcome, replayed = replayed_fd(net, 400.0, points_per_chunk, monkeypatch)
+    assert outcome == per_point
+    assert 0 < len(replayed) <= points_per_chunk
+    assert replayed[-1] == {"w": 400.0, "x": 400.0}
+
+
+def test_a_replayed_chunk_names_the_per_point_error(monkeypatch):
+    rng = np.random.default_rng(91)
+    failed = 0
+    for _ in range(30):
+        net = fd_network(rng)
+        h = float(rng.choice([30.0, 300.0, 1e4]))
+        points_per_chunk = int(rng.integers(1, 6))
+        per_point = fd_outcome(lambda n, step: reference_cumulants_fd(n, step, root=scgf), net, h)
+        with monkeypatch.context() as mp:
+            outcome, replayed = replayed_fd(net, h, points_per_chunk, mp)
+        assert len(outcome) == len(per_point) and len(replayed) <= points_per_chunk
+        if len(outcome) == 2:
+            failed += 1
+            assert outcome == per_point
+        else:
+            assert not replayed and outcome[0] == per_point[0]
+            assert bitwise_equal(outcome[1], per_point[1]) and bitwise_equal(outcome[2], per_point[2])
+    assert failed >= 10
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -547,6 +593,10 @@ def _model(doc) -> dict:
 @pytest.mark.filterwarnings("ignore")  # overflow and non-ergodicity warnings are expected here
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(doc=documents, weights=st.lists(st.sampled_from(["1", "-1", "0.5", "1e308"]), min_size=2, max_size=2))
+# two jumps of 1e308 each: the record total of a trajectory overflows
+@example(doc={"states": ["s0", "s1"], "records": ["x"], "channels": [
+    {"ends": ends, "reservoir": "r", "rate": 1.0, "increments": {"x": 1e308}} for ends in ([0, 1], [1, 0])
+]}, weights=["1", "1"])
 def test_extreme_documents_never_raise(doc, weights, tmp_path_factory):
     model = _model(doc)
     path = tmp_path_factory.mktemp("fuzz") / "model.json"
@@ -558,6 +608,8 @@ def test_extreme_documents_never_raise(doc, weights, tmp_path_factory):
         ["analyze", str(path), "--fd"],
         ["bounds", str(path)] + direction,
         ["diagnose", str(path), "--measured", records[0], "--target", records[-1]],
+        ["simulate", str(path), "--seed", "1", "--trajectories", "3", "--horizon", "10"],
+        ["simulate", str(path), "--seed", "1", "--trajectories", "3", "--jumps", "2"],
     ):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
