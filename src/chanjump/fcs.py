@@ -323,15 +323,16 @@ def cumulants_fd(net: ChannelNetwork, h: float = 1e-4) -> CumulantReport:
             for i, si, j, sj in rows.tolist():
                 scgf(net, {recs[k]: s * h for k, s in ((i, si), (j, sj)) if k < q})
             raise
-    if h * h == math.inf:  # only tiny increments get here; h**2 would raise OverflowError
+    if q and h * h == math.inf:  # only tiny increments get here; h**2 would raise OverflowError
         raise ValidationError(f"finite-difference step {h!r} is too large: its square overflows")
+    h2 = h**2 if q else 1.0  # with no record there is nothing to divide
     lam = np.array(lam)
     lam0, up, down, mixed = lam[0], lam[1 : q + 1], lam[q + 1 : 2 * q + 1], lam[2 * q + 1 :].reshape(-1, 4)
     S = np.zeros((q, q))
     with np.errstate(all="ignore"):  # as Python floats: an overflow gives inf, not a warning
-        S[range(q), range(q)] = (up - 2 * lam0 + down) / h**2
+        S[range(q), range(q)] = (up - 2 * lam0 + down) / h2
         i, j = np.triu_indices(q, 1)
-        S[i, j] = S[j, i] = (mixed[:, 0] - mixed[:, 1] - mixed[:, 2] + mixed[:, 3]) / (4 * h**2)
+        S[i, j] = S[j, i] = (mixed[:, 0] - mixed[:, 1] - mixed[:, 2] + mixed[:, 3]) / (4 * h2)
         means = dict(zip(recs, ((up - down) / (2 * h)).tolist()))
     return CumulantReport(records=recs, means=means, noise=S, method="finite_difference")
 

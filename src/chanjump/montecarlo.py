@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .fcs import CumulantReport
-from .network import ChannelNetwork
+from .network import ChannelNetwork, finite_fsum
 
 __all__ = ["SimConfig", "TrajectoryStats", "simulate", "empirical_cumulants"]
 
@@ -462,17 +462,6 @@ def _check_expected_jumps(net: ChannelNetwork, cfg: SimConfig, escape: np.ndarra
     return expected
 
 
-def _fsum(values, what: str) -> float:
-    """math.fsum of the values; a NumericalError where the sum passes the largest double."""
-    try:
-        total = math.fsum(values)
-    except OverflowError:  # finite terms whose sum overflows
-        total = math.inf
-    if not math.isfinite(total):
-        raise NumericalError(f"{what} exceeds the largest double")
-    return total
-
-
 def simulate(net: ChannelNetwork, cfg: SimConfig, dump: IO[str] | None = None) -> list[TrajectoryStats]:
     """Run independent trajectories and collect per-trajectory statistics.
 
@@ -499,7 +488,7 @@ def simulate(net: ChannelNetwork, cfg: SimConfig, dump: IO[str] | None = None) -
 
     results: list[TrajectoryStats] = []
     # a wait or jump time past the largest double is inf and passes every window;
-    # an infinite record total is refused by _fsum
+    # an infinite record total is refused by finite_fsum
     with np.errstate(over="ignore"):
         for k in range(cfg.n_trajectories):
             gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, k))))
@@ -525,7 +514,7 @@ def simulate(net: ChannelNetwork, cfg: SimConfig, dump: IO[str] | None = None) -
             occupation.flags.writeable = False
             results.append(
                 TrajectoryStats(
-                    totals={rec: _fsum(row, f"total of record {rec!r}") for rec, row in zip(net.records, terms)},
+                    totals={rec: finite_fsum(row, f"total of record {rec!r}") for rec, row in zip(net.records, terms)},
                     jump_counts=counts,
                     elapsed=t,
                     n_jumps=int(tally.counts.sum()),
@@ -546,17 +535,22 @@ def _pooled_means(stats: Sequence[TrajectoryStats]):
     records = tuple(stats[0].totals.keys())
     X = np.array([[st.totals[rec] for rec in records] for st in stats]).reshape(len(stats), len(records))
     T = np.array([st.elapsed for st in stats], dtype=float)
-    total_time = _fsum(T, "pooled simulated time")
+    total_time = finite_fsum(T, "pooled simulated time")
     if not total_time > 0:
         raise ValidationError("no simulated time elapsed: every trajectory started absorbed")
-    means = {rec: _fsum(X[:, i], f"pooled total of record {rec!r}") / total_time for i, rec in enumerate(records)}
+    means = {rec: finite_fsum(X[:, i], f"pooled total of record {rec!r}") / total_time for i, rec in enumerate(records)}
     return records, X, T, means
 
 
 def _finite(report: CumulantReport) -> CumulantReport:
-    """The report, or a NumericalError where a mean, its standard error or a noise entry overflowed."""
+    """The report, or a NumericalError where a mean, a noise entry or a standard error overflowed.
+
+    A noise standard error is NaN, not an overflow, when there are too few batches.
+    """
     values = [*report.means.values(), *report.mean_errors.values()]
-    if not (np.isfinite(values).all() and (report.noise is None or np.isfinite(report.noise).all())):
+    noise = np.zeros(0) if report.noise is None else report.noise
+    noise_errors = np.zeros(0) if report.noise_errors is None else report.noise_errors
+    if not (np.isfinite(values).all() and np.isfinite(noise).all() and not np.isinf(noise_errors).any()):
         raise NumericalError("Monte Carlo estimates exceed the largest double; rescale the record increments")
     return report
 
@@ -567,8 +561,8 @@ def empirical_cumulants(stats: Sequence[TrajectoryStats]) -> CumulantReport:
     Means pool totals over pooled time; the noise matrix is the
     across-trajectory covariance of equal-window totals divided by the
     window.  Standard errors come from 10 contiguous trajectory batches
-    (2 when there are fewer than 20 trajectories).  A mean, mean standard
-    error or noise entry past the largest double is a NumericalError.
+    (2 when there are fewer than 20 trajectories).  A mean, noise entry or
+    standard error past the largest double is a NumericalError.
     """
     if len(stats) < 2:
         raise ValidationError("need at least 2 trajectories to estimate cumulants")

@@ -226,6 +226,17 @@ def _fsum(values) -> float:
         return math.inf
 
 
+def finite_fsum(terms, what: str) -> float:
+    """Exact sum of the terms; a NumericalError naming ``what`` where it is not a finite double."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # finite terms past the largest double, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise NumericalError(f"{what} exceeds the largest double")
+    return total
+
+
 def _validate(net: ChannelNetwork) -> None:
     if len(net.states) < 2:
         raise ValidationError("a network needs at least 2 states")

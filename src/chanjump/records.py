@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .network import ChannelNetwork
+from .errors import ValidationError
+from .network import ChannelNetwork, finite_fsum
 
 __all__ = [
     "RecordInterval",
@@ -159,17 +159,6 @@ def _check_totals(net: ChannelNetwork, u) -> tuple[np.ndarray, tuple[tuple[int, 
     return uv, transitions
 
 
-def _endpoint(terms) -> float:
-    """Exact sum of an interval endpoint's terms; it must be a finite double."""
-    try:
-        total = math.fsum(terms)
-    except (OverflowError, ValueError):  # finite terms past the largest double, or inf - inf
-        total = math.nan
-    if not math.isfinite(total):
-        raise NumericalError("a record-interval endpoint exceeds the largest double")
-    return total
-
-
 def record_interval(net: ChannelNetwork, u, a: dict[str, float]) -> RecordInterval:
     """Exact compatible interval of the scalar record a . J at totals u.
 
@@ -183,8 +172,8 @@ def record_interval(net: ChannelNetwork, u, a: dict[str, float]) -> RecordInterv
     emin = [min(order[lo:hi], key=proj.__getitem__) for lo, hi in net.arrays.spans]
     emax = [max(order[lo:hi], key=proj.__getitem__) for lo, hi in net.arrays.spans]
     return RecordInterval(
-        lo=_endpoint(uv[k] * proj[e] for k, e in enumerate(emin)),
-        hi=_endpoint(uv[k] * proj[e] for k, e in enumerate(emax)),
+        lo=finite_fsum((uv[k] * proj[e] for k, e in enumerate(emin)), "a record-interval endpoint"),
+        hi=finite_fsum((uv[k] * proj[e] for k, e in enumerate(emax)), "a record-interval endpoint"),
         direction=dict(a),
         tight_channels=tuple(zip(transitions, emin, emax)),
     )

@@ -240,6 +240,15 @@ def test_simulate_rejects_missing_horizon(twin_model):
     assert run(["simulate", twin_model, "--seed", "1", "--trajectories", "2"]) == 1
 
 
+@pytest.mark.parametrize("flags", [["--horizon", "10"], ["--jumps", "100"]], ids=["horizon", "jumps"])
+def test_simulate_rejects_a_single_trajectory(flags, twin_model, tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert run(["simulate", twin_model, "--seed", "1", "--trajectories", "1", "--json", str(out)] + flags) == 1
+    err = capsys.readouterr().err
+    assert "validation error: need at least 2 trajectories to estimate cumulants" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_simulate_reports_absorbed_trajectories(tmp_path, capsys):
     doc = {
         "states": ["a", "b"],
@@ -445,16 +454,26 @@ def test_step_whose_square_underflows_is_an_input_error(twin_model, capsys):
     assert "validation error: finite-difference step 1e-300 is too small" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("records", [["x"], []], ids=["zero-increments", "no-records"])
-def test_step_whose_square_overflows_is_an_input_error(records, tmp_path, capsys):
+def test_step_whose_square_overflows_is_an_input_error(tmp_path, capsys):
     # zero increments keep every exponent at 0, so the stencil succeeds and only h**2 overflows
     path = tmp_path / "silent.json"
-    path.write_text(json.dumps({"states": ["a", "b"], "records": records, "channels": [
+    path.write_text(json.dumps({"states": ["a", "b"], "records": ["x"], "channels": [
         _channel("a", "b", "r", 1.0), _channel("b", "a", "r", 1.0)]}))
     assert run(["analyze", str(path), "--fd", "--fd-step", "1e200"]) == 1
     err = capsys.readouterr().err
     assert "validation error: finite-difference step 1e+200 is too large: its square overflows" in err
     assert "Traceback" not in err
+
+
+def test_step_whose_square_overflows_is_unused_without_records(tmp_path, capsys):
+    # with no record the stencil is chi = 0 alone and nothing is divided by h**2
+    path = tmp_path / "silent.json"
+    path.write_text(json.dumps({"states": ["a", "b"], "records": [], "channels": [
+        _channel("a", "b", "r", 1.0), _channel("b", "a", "r", 1.0)]}))
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(path), "--fd", "--fd-step", "1e200", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["cumulants_finite_difference"]["means"] == {}
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -555,22 +574,26 @@ def test_simulate_refuses_a_run_past_the_jump_budget(flags, twin_model, tmp_path
 
 
 @pytest.mark.parametrize(
-    "x, rate, flags, message",
+    "x, x_back, rate, flags, message",
     [
         # two record totals of 1e308 pool past the largest double
-        (1e308, 1.0, ["--jumps", "2"], "total of record 'x' exceeds the largest double"),
+        (1e308, 1e308, 1.0, ["--jumps", "2"], "total of record 'x' exceeds the largest double"),
+        # each channel fires twice: the terms of the record total are inf and -inf
+        (1e308, -1e308, 1.0, ["--jumps", "4"], "total of record 'x' exceeds the largest double"),
         # the totals are finite, their spread is not: se inf and an inf noise entry
-        (1e200, 1.0, ["--horizon", "10"], "Monte Carlo estimates exceed the largest double"),
-        (1e200, 1.0, ["--jumps", "2"], "Monte Carlo estimates exceed the largest double"),
+        (1e200, 1e200, 1.0, ["--horizon", "10"], "Monte Carlo estimates exceed the largest double"),
+        (1e200, 1e200, 1.0, ["--jumps", "2"], "Monte Carlo estimates exceed the largest double"),
+        # the noise near 1e201 is finite, the spread of its two batch estimates is not
+        (1e100, 1e100, 1.0, ["--horizon", "10", "--trajectories", "4"], "Monte Carlo estimates exceed the largest double"),
         # about ten jumps per trajectory, but three windows of 1e308 pool past the largest double
-        (1.0, 1e-307, ["--horizon", "1e308"], "pooled simulated time exceeds the largest double"),
+        (1.0, 1.0, 1e-307, ["--horizon", "1e308"], "pooled simulated time exceeds the largest double"),
     ],
-    ids=["record-total", "noise", "standard-error", "pooled-time"],
+    ids=["record-total", "record-total-inf-minus-inf", "noise", "standard-error", "noise-standard-error", "pooled-time"],
 )
-def test_simulate_past_the_largest_double_is_a_numerical_error(x, rate, flags, message, tmp_path, capsys):
+def test_simulate_past_the_largest_double_is_a_numerical_error(x, x_back, rate, flags, message, tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"states": ["a", "b"], "records": ["x"], "channels": [
-        _channel("a", "b", "r", rate, x=x), _channel("b", "a", "r", rate, x=x)]}))
+        _channel("a", "b", "r", rate, x=x), _channel("b", "a", "r", rate, x=x_back)]}))
     out = tmp_path / "s.json"
     assert run(["simulate", str(path), "--seed", "1", "--trajectories", "3", "--json", str(out)] + flags) == 2
     captured = capsys.readouterr()
