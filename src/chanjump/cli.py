@@ -10,10 +10,13 @@ validation, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -42,23 +45,6 @@ def _open_for_writing(path: str):
         return open(path, "w")
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
-
-
-class _LazyFile:
-    """A file opened for writing at its first write, so a run refused before then leaves it as it was."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self.handle = None
-
-    def write(self, text: str) -> None:
-        if self.handle is None:
-            self.handle = _open_for_writing(self.path)
-        self.handle.write(text)
-
-    def close(self) -> None:
-        if self.handle is not None:
-            self.handle.close()
 
 
 def _model_section(net) -> dict:
@@ -273,32 +259,34 @@ def cmd_simulate(args) -> dict:
         initial=args.initial,
         burn_in=args.burn_in,
     )
-    dump = _LazyFile(args.dump) if args.dump else None
-    try:
+    # jumps go to a scratch file, copied to --dump only once the report is built,
+    # so a refused or failed run leaves an existing dump as it was
+    with tempfile.TemporaryFile("w+") if args.dump else contextlib.nullcontext() as dump:
         stats = mc.simulate(net, cfg, dump=dump)
-    finally:
+        emp = mc.empirical_cumulants(stats)
+        occupation = np.sum([st.occupation for st in stats], axis=0)
+        total_time = occupation.sum()
+        report = rpt.new_report("simulate", {})
+        report["model"] = _model_section(net)
+        report["simulation"] = {
+            "n_trajectories": cfg.n_trajectories,
+            "seed": cfg.seed,
+            "horizon": cfg.t_max if cfg.t_max is not None else cfg.max_jumps,
+            "horizon_kind": "time" if cfg.t_max is not None else "jumps",
+            "burn_in": cfg.burn_in,
+            "absorbed_trajectories": sum(1 for st in stats if st.absorbed),
+            "occupation_fractions": rpt.vector(occupation / total_time) if total_time > 0 else [],
+            "method": "monte_carlo",
+        }
+        report["cumulants_monte_carlo"] = rpt.cumulant_section(emp)
+        try:
+            report["cumulants_analytic"] = rpt.cumulant_section(fcs.analytic_cumulants(net))
+        except NonErgodicError:
+            pass  # non-ergodic networks have no stationary reference
         if dump is not None:
-            dump.close()
-    emp = mc.empirical_cumulants(stats) if cfg.t_max is not None else mc._jump_budget_means(stats)
-    occupation = np.sum([st.occupation for st in stats], axis=0)
-    total_time = occupation.sum()
-    report = rpt.new_report("simulate", {})
-    report["model"] = _model_section(net)
-    report["simulation"] = {
-        "n_trajectories": cfg.n_trajectories,
-        "seed": cfg.seed,
-        "horizon": cfg.t_max if cfg.t_max is not None else cfg.max_jumps,
-        "horizon_kind": "time" if cfg.t_max is not None else "jumps",
-        "burn_in": cfg.burn_in,
-        "absorbed_trajectories": sum(1 for st in stats if st.absorbed),
-        "occupation_fractions": rpt.vector(occupation / total_time) if total_time > 0 else [],
-        "method": "monte_carlo",
-    }
-    report["cumulants_monte_carlo"] = rpt.cumulant_section(emp)
-    try:
-        report["cumulants_analytic"] = rpt.cumulant_section(fcs.analytic_cumulants(net))
-    except NonErgodicError:
-        pass  # non-ergodic networks have no stationary reference
+            dump.seek(0)
+            with _open_for_writing(args.dump) as handle:
+                shutil.copyfileobj(dump, handle)
     return report
 
 

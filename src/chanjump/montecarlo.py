@@ -433,19 +433,22 @@ def _initial_sampler(net: ChannelNetwork, cfg: SimConfig):
     return None, np.cumsum(p)
 
 
+def _jump_rate(net: ChannelNetwork, escape: np.ndarray) -> float:
+    """The stationary jump rate sum_s p_s esc_s, or the largest escape rate when there is no stationary state."""
+    try:
+        return float(net.stationary.p @ escape)
+    except NumericalError:
+        return float(escape.max())
+
+
 def _check_expected_jumps(net: ChannelNetwork, cfg: SimConfig, escape: np.ndarray) -> float:
     """The run's expected jump count; a ValidationError past _MAX_EXPECTED_JUMPS.
 
-    The jump rate is the stationary one, sum_s p_s esc_s, or the largest
-    escape rate when there is no stationary state.  Per trajectory the count
-    is (burn_in + t_max) * rate, or max_jumps + burn_in * rate.  The bound
-    also counts _TRAJECTORY_JUMPS per trajectory, the cost of one that makes
-    no jump.
+    Per trajectory the count is (burn_in + t_max) * rate, or max_jumps +
+    burn_in * rate, with ``_jump_rate``'s rate.  The bound also counts
+    _TRAJECTORY_JUMPS per trajectory, the cost of one that makes no jump.
     """
-    try:
-        rate = float(net.stationary.p @ escape)
-    except NumericalError:
-        rate = float(escape.max())
+    rate = _jump_rate(net, escape)
     if cfg.t_max is not None:
         per_trajectory = (cfg.burn_in + cfg.t_max) * rate
     else:
@@ -471,16 +474,16 @@ def simulate(net: ChannelNetwork, cfg: SimConfig, dump: IO[str] | None = None) -
     line per jump, prefixed by a "# trajectory k" line per trajectory.  A
     run expected to make more than 1e9 jumps, counting 500 per trajectory,
     is a ValidationError; nothing is written to ``dump`` before it starts.
-    A record total past the largest double is a NumericalError.
+    A record total past the largest double is a NumericalError, raised after
+    ``dump`` got the jumps so far.  A walk's first chunk is sized from
+    ``_jump_rate``; chunking changes no stream, statistic or dump line.
     """
     table = _ChannelTable(net)
     table.compose(_check_expected_jumps(net, cfg, table.escape))
     if not _strongly_connected(net):
         warnings.warn("simulating a non-ergodic network", stacklevel=2)
     fixed_initial, init_cum = _initial_sampler(net, cfg)
-    live = table.escape[table.escape > 0]
-    # harmonic mean escape rate: the jump rate of a walk visiting states evenly, sizes the chunks
-    rate = live.size / float(np.sum(1.0 / live)) if live.size else 0.0
+    rate = _jump_rate(net, table.escape)  # sizes each walk's first chunk
     increments = net.arrays.increments
     time_mode = cfg.t_max is not None
     horizon = cfg.t_max if time_mode else math.inf
@@ -525,23 +528,6 @@ def simulate(net: ChannelNetwork, cfg: SimConfig, dump: IO[str] | None = None) -
     return results
 
 
-def _pooled_means(stats: Sequence[TrajectoryStats]):
-    """Records, per-trajectory totals X and windows T, and the pooled means.
-
-    A mean pools totals over pooled time, so it needs no common window.
-    """
-    if len(stats) < 2:
-        raise ValidationError("need at least 2 trajectories to estimate cumulants")
-    records = tuple(stats[0].totals.keys())
-    X = np.array([[st.totals[rec] for rec in records] for st in stats]).reshape(len(stats), len(records))
-    T = np.array([st.elapsed for st in stats], dtype=float)
-    total_time = finite_fsum(T, "pooled simulated time")
-    if not total_time > 0:
-        raise ValidationError("no simulated time elapsed: every trajectory started absorbed")
-    means = {rec: finite_fsum(X[:, i], f"pooled total of record {rec!r}") / total_time for i, rec in enumerate(records)}
-    return records, X, T, means
-
-
 def _finite(report: CumulantReport) -> CumulantReport:
     """The report, or a NumericalError where a mean, a noise entry or a standard error overflowed.
 
@@ -556,68 +542,53 @@ def _finite(report: CumulantReport) -> CumulantReport:
 
 
 def empirical_cumulants(stats: Sequence[TrajectoryStats]) -> CumulantReport:
-    """Estimate means and zero-frequency noise from trajectory totals.
+    """Means pooled over pooled time and, over equal windows, the zero-frequency noise.
 
-    Means pool totals over pooled time; the noise matrix is the
-    across-trajectory covariance of equal-window totals divided by the
-    window.  Standard errors come from 10 contiguous trajectory batches
-    (2 when there are fewer than 20 trajectories).  A mean, noise entry or
-    standard error past the largest double is a NumericalError.
+    When every window equals the first to within 1e-12 of it (a ``t_max``
+    run), the noise is the across-trajectory covariance of the totals over
+    the window; standard errors come from the per-trajectory rates and from
+    10 contiguous trajectory batches (2 under 20 trajectories).  Otherwise
+    (``max_jumps``) ``noise`` is None with a ``note``, and a mean's standard
+    error is the ratio estimator's, sqrt(sum_k (X_k - m T_k)^2 / (n (n - 1)))
+    / mean(T).  A total, time or estimate past the largest double is a
+    NumericalError.
     """
-    if len(stats) < 2:
-        raise ValidationError("need at least 2 trajectories to estimate cumulants")
-    T = stats[0].elapsed
-    if any(abs(st.elapsed - T) > 1e-12 * max(1.0, T) for st in stats):
-        raise ValidationError("noise estimation requires equal observation windows")
-    records, X, _, means = _pooled_means(stats)
     n = len(stats)
+    if n < 2:
+        raise ValidationError("need at least 2 trajectories to estimate cumulants")
+    records = tuple(stats[0].totals.keys())
+    q = len(records)
+    X = np.array([[st.totals[rec] for rec in records] for st in stats]).reshape(n, q)
+    T = np.array([st.elapsed for st in stats], dtype=float)
+    total_time = finite_fsum(T, "pooled simulated time")
+    if not total_time > 0:
+        raise ValidationError("no simulated time elapsed: every trajectory started absorbed")
+    means = {rec: finite_fsum(X[:, i], f"pooled total of record {rec!r}") / total_time for i, rec in enumerate(records)}
+    window = T[0]
+    noise = noise_errors = note = None
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _finite
-        noise = np.cov(X, rowvar=False, ddof=1).reshape(len(records), len(records)) / T
-        per_rate = X / T
-        mean_errors = {
-            rec: float(np.std(per_rate[:, i], ddof=1) / math.sqrt(n))
-            for i, rec in enumerate(records)
-        }
-        n_batches = 10 if n >= 20 else 2
-        edges = np.linspace(0, n, n_batches + 1, dtype=int)
-        batch_S = []
-        for b in range(n_batches):
-            chunk = X[edges[b]:edges[b + 1]]
-            if len(chunk) >= 2:
-                batch_S.append(np.cov(chunk, rowvar=False, ddof=1).reshape(len(records), len(records)) / T)
-        noise_errors = (
-            np.std(np.array(batch_S), axis=0, ddof=1) / math.sqrt(len(batch_S))
-            if len(batch_S) >= 2
-            else np.full((len(records), len(records)), np.nan)
-        )
+        if (np.abs(T - window) <= 1e-12 * window).all():
+            noise = np.cov(X, rowvar=False, ddof=1).reshape(q, q) / window
+            per_rate = X / window
+            errors = [np.std(per_rate[:, i], ddof=1) / math.sqrt(n) for i in range(q)]
+            edges = np.linspace(0, n, (10 if n >= 20 else 2) + 1, dtype=int)
+            batch_S = [np.cov(chunk, rowvar=False, ddof=1).reshape(q, q) / window
+                       for chunk in np.split(X, edges[1:-1]) if len(chunk) >= 2]
+            noise_errors = (
+                np.std(np.array(batch_S), axis=0, ddof=1) / math.sqrt(len(batch_S))
+                if len(batch_S) >= 2
+                else np.full((q, q), np.nan)
+            )
+        else:
+            residuals = X - np.outer(T, list(means.values()))
+            errors = np.sqrt((residuals**2).sum(axis=0) / (n * (n - 1))) / (total_time / n)
+            note = "noise needs equal observation windows; jump-budget trajectories have unequal ones"
     return _finite(CumulantReport(
         records=records,
         means=means,
         noise=noise,
         method="monte_carlo",
-        mean_errors=mean_errors,
-        noise_errors=noise_errors,
-    ))
-
-
-def _jump_budget_means(stats: Sequence[TrajectoryStats]) -> CumulantReport:
-    """Pooled means and their standard errors from trajectories of any lengths.
-
-    The standard error is the ratio estimator's, sqrt(sum_k (X_k - m T_k)^2 /
-    (n (n - 1))) / mean(T).  Jump-budget trajectories end at unequal times,
-    so the noise is not estimated: ``noise`` is None and ``note`` says why.
-    A mean or standard error past the largest double is a NumericalError.
-    """
-    records, X, T, means = _pooled_means(stats)
-    n = len(stats)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _finite
-        residuals = X - np.outer(T, [means[rec] for rec in records])
-        errors = np.sqrt((residuals**2).sum(axis=0) / (n * (n - 1))) / (math.fsum(T) / n)
-    return _finite(CumulantReport(
-        records=records,
-        means=means,
-        noise=None,
-        method="monte_carlo",
         mean_errors={rec: float(v) for rec, v in zip(records, errors)},
-        note="noise needs equal observation windows; jump-budget trajectories have unequal ones",
+        noise_errors=noise_errors,
+        note=note,
     ))

@@ -602,6 +602,32 @@ def test_simulate_past_the_largest_double_is_a_numerical_error(x, x_back, rate, 
     assert captured.out == "" and not out.exists()
 
 
+def test_a_failed_simulate_leaves_the_dump_untouched(tmp_path, capsys):
+    # trajectory 0 makes its two jumps before the pooled totals overflow
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"states": ["a", "b"], "records": ["x"], "channels": [
+        _channel("a", "b", "r", 1.0, x=1e308), _channel("b", "a", "r", 1.0, x=1e308)]}))
+    dump = tmp_path / "dump.txt"
+    dump.write_bytes(b"an earlier run\n")
+    argv = ["simulate", str(path), "--seed", "1", "--trajectories", "3", "--jumps", "2", "--dump", str(dump)]
+    assert run(argv) == 2
+    assert "numerical error:" in capsys.readouterr().err
+    assert dump.read_bytes() == b"an earlier run\n"
+
+
+def test_simulate_jump_budget_on_fast_rates_estimates_no_noise(tmp_path, capsys):
+    # one jump per trajectory: windows near 1e-15 that differ, however close to 0 they are
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps({"states": ["a", "b"], "records": ["x"], "channels": [
+        _channel("a", "b", "r", 1e15, x=1.0), _channel("b", "a", "r", 1e15, x=-0.5)]}))
+    out = tmp_path / "s.json"
+    assert run(["simulate", str(path), "--seed", "5", "--trajectories", "3", "--jumps", "1", "--json", str(out)]) == 0
+    assert "noise matrix: not estimated" in capsys.readouterr().out
+    mc = json.loads(out.read_text())["cumulants_monte_carlo"]
+    assert mc["noise"] is None and mc["noise_standard_errors"] is None
+    assert "equal observation windows" in mc["note"]
+
+
 def test_simulate_does_not_drop_an_analytic_noise_overflow(tmp_path, capsys):
     # the Monte Carlo estimates are finite, the analytic noise is not: exit 2, not a report without it
     path = tmp_path / "huge_increments.json"

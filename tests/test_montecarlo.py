@@ -20,7 +20,8 @@ from chanjump import (
     twin_dot_spec,
 )
 
-from chanjump.montecarlo import _ChannelTable, _check_expected_jumps
+from chanjump import montecarlo
+from chanjump.montecarlo import _ChannelTable, _check_expected_jumps, _jump_rate
 
 from conftest import make_network, random_network, two_state_cycle
 
@@ -137,9 +138,10 @@ def test_jump_budget_mode():
     net = two_state_cycle()
     stats = simulate(net, SimConfig(n_trajectories=4, seed=9, max_jumps=100))
     assert all(st.n_jumps == 100 for st in stats)
-    # unequal windows cannot feed the noise estimator
-    with pytest.raises(ValidationError, match="equal"):
-        empirical_cumulants(stats)
+    # unequal windows cannot feed the noise estimator: pooled means only
+    rep = empirical_cumulants(stats)
+    assert rep.noise is None and rep.noise_errors is None
+    assert "equal observation windows" in rep.note
 
 
 def test_single_trajectory_rejected():
@@ -259,3 +261,31 @@ def test_expected_jumps_without_a_stationary_state_use_the_largest_escape_rate()
     with pytest.warns(UserWarning, match="non-ergodic"):
         stats = simulate(net, SimConfig(n_trajectories=1, seed=0, t_max=10.0, initial=2))
     assert stats[0].absorbed and stats[0].n_jumps == 0
+
+
+def _run_with_dump(net, cfg):
+    buf = io.StringIO()
+    stats = simulate(net, cfg, dump=buf)
+    return [(st.totals, st.jump_counts.tobytes(), st.elapsed, st.n_jumps, st.absorbed, st.occupation.tobytes())
+            for st in stats], buf.getvalue()
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1e6])
+@pytest.mark.parametrize(
+    "net_name, fields",
+    # the rate is read only where a window stops the walk: a time window or the burn-in
+    [("dot", {"t_max": 200.0}), ("dot", {"max_jumps": 300, "burn_in": 3.0}),
+     ("random", {"t_max": 20.0, "burn_in": 2.0})],
+)
+def test_the_walk_rate_only_sizes_chunks(factor, net_name, fields, monkeypatch):
+    net = build_dot(twin_dot_spec()) if net_name == "dot" else random_network(np.random.default_rng(4), 6, 3)
+    cfg = SimConfig(n_trajectories=5, seed=77, **fields)
+    reference = _run_with_dump(net, cfg)
+    walk = montecarlo._Walk
+
+    def scaled(table, gen, state, rate):
+        assert rate == _jump_rate(net, table.escape)
+        return walk(table, gen, state, rate * factor)
+
+    monkeypatch.setattr(montecarlo, "_Walk", scaled)
+    assert _run_with_dump(net, cfg) == reference
