@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import math
+import os
 import shutil
 import sys
 import tempfile
@@ -45,6 +47,27 @@ def _open_for_writing(path: str):
         return open(path, "w")
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_writable(path: str) -> None:
+    """Refuse a path that ``_open_for_writing`` would refuse, with its message, without opening it.
+
+    Only the file system is asked, so an existing file is not truncated and
+    a FIFO is not blocked on.
+    """
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = None if os.access(path, os.W_OK) else errno.EACCES
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    else:
+        code = None if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code is not None:
+        raise ValidationError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
 def _model_section(net) -> dict:
@@ -259,6 +282,8 @@ def cmd_simulate(args) -> dict:
         initial=args.initial,
         burn_in=args.burn_in,
     )
+    if args.dump:
+        _check_writable(args.dump)  # before the run, which may take long
     # jumps go to a scratch file, copied to --dump only once the report is built,
     # so a refused or failed run leaves an existing dump as it was
     with tempfile.TemporaryFile("w+") if args.dump else contextlib.nullcontext() as dump:

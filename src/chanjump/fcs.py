@@ -50,6 +50,12 @@ __all__ = [
 _MAX_EXPONENT = 700.0  # exp overflow threshold for doubles
 _EPS = float(np.finfo(float).eps)
 _NEWTON_STEPS = 8  # bordered Newton steps before a point falls back to eigvals
+# A noise diagonal below -_VARIANCE_SLACK * eps (2**-20, about 1e-6) times the size of the
+# terms that form it is a negative variance, not rounding.  A state-function record, whose
+# variance is exactly 0, stays above it on random networks with channel rates spread over
+# up to 12 decades (worst seen: 3e9 eps); the stiff two-state model, rates 1e-300 and
+# 1e300, sits at 1.5e15 eps.
+_VARIANCE_SLACK = 2.0**32
 # One stack of the finite-difference stencil holds about this many cells, n^2 + E per
 # point, so its transient memory does not grow with the number of records.
 _STACK_CELLS = 1 << 16
@@ -218,7 +224,9 @@ def noise_matrix(net: ChannelNetwork) -> np.ndarray:
     this is S = D W D^T - A R B^T - (A R B^T)^T with W = diag(rate p_from),
     A the rate-weighted increments summed by source state (1.L_mu) and B the
     flux-weighted increments summed by destination state (L_nu p).  A matrix
-    past the largest double is a NumericalError, not inf or NaN entries.
+    past the largest double is a NumericalError, not inf or NaN entries, and
+    so is a variance S_mumu below -_VARIANCE_SLACK eps times the size of
+    its terms, (D W D^T)_mumu + 2 |(A R B^T)_mumu|.
     """
     a = net.arrays
     R = drazin_inverse(net.generator, net.stationary)
@@ -228,10 +236,19 @@ def noise_matrix(net: ChannelNetwork) -> np.ndarray:
         A = ChannelArrays.sum_by(D * a.rate, a.from_state, net.n_states)
         B = ChannelArrays.sum_by(DW, a.to_state, net.n_states)
         C = A @ R @ B.T
-        S = DW @ D.T - C - C.T
+        DWD = DW @ D.T
+        S = DWD - C - C.T
         S = 0.5 * (S + S.T)
     if not np.isfinite(S).all():
         raise NumericalError("noise matrix exceeds the largest double; rescale the record increments")
+    terms = np.diagonal(DWD) + 2 * np.abs(np.diagonal(C))
+    negative = np.flatnonzero(np.diagonal(S) < -_VARIANCE_SLACK * _EPS * terms)
+    if negative.size:
+        k = negative[0]
+        raise NumericalError(
+            f"noise of record {net.records[k]!r} is a negative variance, {S[k, k]:g}, "
+            f"beyond the rounding of its terms ({terms[k]:g}); the rates may be too stiff"
+        )
     return S
 
 

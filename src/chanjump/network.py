@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -69,7 +71,13 @@ class TransitionChannel:
 
 @dataclass(frozen=True)
 class ChannelNetwork:
-    """Validated immutable network: states, channels, declared records."""
+    """Validated immutable network: states, channels, declared records.
+
+    Construction reads the channels as columns (from and to indices, rates,
+    increment maps), validates them once, on the columns, and builds
+    ``arrays`` from the same columns.  ``load_network`` gathers the columns
+    from the model file and builds the channel objects from them.
+    """
 
     states: tuple[str, ...]
     channels: tuple[TransitionChannel, ...]
@@ -82,7 +90,7 @@ class ChannelNetwork:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "records", records)
-        _validate(self)
+        self.__dict__["arrays"] = _checked_arrays(states, records, *_object_columns(channels))
 
     @property
     def n_states(self) -> int:
@@ -111,7 +119,7 @@ class ChannelNetwork:
 
     @cached_property
     def arrays(self) -> ChannelArrays:
-        """Array view of the channels, built on first use and cached."""
+        """Array view of the channels, built with the network from its column view."""
         return ChannelArrays.of(self)
 
     @cached_property
@@ -119,12 +127,25 @@ class ChannelNetwork:
         """The state generator, assembled on first use and cached."""
         return build_generator(self)
 
-    @cached_property
+    @property
     def stationary(self):
-        """Stationary state of ``generator`` at DEFAULT_TOL, cached; NonErgodicError on every access if none."""
+        """Stationary state of ``generator`` at DEFAULT_TOL, cached; NonErgodicError on every access if none.
+
+        A failed solve is cached too: every access re-raises its error.
+        """
+        state, error = self._stationary
+        if error is not None:
+            raise error.with_traceback(None)
+        return state
+
+    @cached_property
+    def _stationary(self):
         from .linalg import stationary_state
 
-        return stationary_state(self.generator)
+        try:
+            return stationary_state(self.generator), None
+        except NumericalError as exc:
+            return None, exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,20 +174,31 @@ class ChannelArrays:
 
     @classmethod
     def of(cls, net: ChannelNetwork) -> ChannelArrays:
-        chs = net.channels
-        t_index: dict[tuple[int, int], int] = {}
-        transition = [t_index.setdefault((ch.from_state, ch.to_state), len(t_index)) for ch in chs]
-        r_index = {rec: i for i, rec in enumerate(net.records)}
-        increments = np.zeros((len(net.records), len(chs)))
-        for e, ch in enumerate(chs):
-            for rec, val in ch.increments.items():
-                increments[r_index[rec], e] = float(val)
+        """The array view of a network's channels, built from their columns."""
+        frm, to, rates, incs = _object_columns(net.channels)
+        return cls.from_columns(net.records, frm, to, rates, incs, _flat_values(incs))
+
+    @classmethod
+    def from_columns(cls, records, frm, to, rates, incs, values: np.ndarray) -> ChannelArrays:
+        """Arrays of validated channel columns.
+
+        ``incs`` holds every channel's increment map and ``values`` all their
+        values, map after map, as floats; the q x E increment matrix is filled
+        by one scatter.
+        """
+        pairs = list(zip(frm, to))
+        t_index = dict(zip(dict.fromkeys(pairs), range(len(pairs))))
+        transition = list(map(t_index.__getitem__, pairs))
+        increments = np.zeros((len(records), len(pairs)))
+        rows = map({rec: i for i, rec in enumerate(records)}.__getitem__, chain.from_iterable(incs))
+        columns = np.repeat(np.arange(len(pairs)), list(map(len, incs)))
+        increments[np.fromiter(rows, np.intp, len(values)), columns] = values
         counts = np.bincount(transition, minlength=len(t_index))
         arrays = (
-            np.array([ch.from_state for ch in chs], dtype=np.intp),
-            np.array([ch.to_state for ch in chs], dtype=np.intp),
+            np.array(frm, dtype=np.intp),
+            np.array(to, dtype=np.intp),
             np.array(transition, dtype=np.intp),
-            np.array([ch.rate for ch in chs], dtype=float),
+            np.array(rates, dtype=float),
             increments,
             counts,
             np.argsort(transition, kind="stable"),
@@ -214,7 +246,7 @@ class ChannelArrays:
         """Per channel, the correctly rounded sum of weights . increments[rows]."""
         columns = self.increments[rows].T.tolist()
         try:
-            return [math.fsum(w * x for w, x in zip(weights, col)) for col in columns]
+            return [math.fsum(map(operator.mul, weights, col)) for col in columns]
         except (OverflowError, ValueError):  # finite terms past the largest double, or inf - inf
             raise NumericalError("weighted record increments exceed the largest double") from None
 
@@ -237,31 +269,70 @@ def finite_fsum(terms, what: str) -> float:
     return total
 
 
-def _validate(net: ChannelNetwork) -> None:
-    if len(net.states) < 2:
+def _object_columns(channels: Sequence[TransitionChannel]) -> tuple[list, list, list, list]:
+    """Channel objects as columns: from and to indices, rates, increment maps."""
+    return tuple(
+        list(map(operator.attrgetter(name), channels))
+        for name in ("from_state", "to_state", "rate", "increments")
+    )
+
+
+def _flat_values(incs: Sequence[Mapping]) -> np.ndarray:
+    """The values of every increment map, map after map, as one float array."""
+    return np.fromiter(chain.from_iterable(map(operator.methodcaller("values"), incs)), float)
+
+
+def _checked_arrays(states: tuple, records: tuple[str, ...], frm, to, rates, incs) -> ChannelArrays:
+    """Validate a network given by its channel columns; its ChannelArrays.
+
+    The channel checks run once over the columns, with C-level builtins and
+    one float array of the increment values; an undeclared record fails the
+    scatter into the increment matrix.  Only when a check fails does the
+    per-channel loop run, to name the first failing channel.
+    """
+    if len(states) < 2:
         raise ValidationError("a network needs at least 2 states")
-    if len(set(net.states)) != len(net.states):
+    if len(set(states)) != len(states):
         raise ValidationError("duplicate state name")
-    for s in net.states:
+    for s in states:
         if not isinstance(s, str) or not s:
             raise ValidationError(f"state names must be nonempty strings, got {s!r}")
-    if len(net.channels) < 1:
+    if len(frm) < 1:
         raise ValidationError("a network needs at least 1 channel")
-    if len(set(net.records)) != len(net.records):
+    if len(set(records)) != len(records):
         raise ValidationError("duplicate record name")
-    for r in net.records:
-        if not r:
-            raise ValidationError("record names must be nonempty")
-    declared = set(net.records)
-    n = len(net.states)
-    for e, ch in enumerate(net.channels):
-        if not (0 <= ch.from_state < n) or not (0 <= ch.to_state < n):
+    if not all(records):
+        raise ValidationError("record names must be nonempty")
+    in_range = range(len(states)).__contains__  # False for NaN, which min/max can miss
+    try:
+        values = _flat_values(incs)
+        if (
+            all(map(in_range, frm))
+            and all(map(in_range, to))
+            and not any(map(operator.eq, frm, to))
+            and all(map(math.isfinite, rates))
+            and min(rates) >= 0
+            and np.isfinite(values).all()
+        ):
+            return ChannelArrays.from_columns(records, frm, to, rates, incs, values)  # KeyError: undeclared record
+    except (LookupError, TypeError, ValueError, OverflowError):
+        pass
+    _first_bad_channel(len(states), records, frm, to, rates, incs)
+    # no channel fails a check: only a float index such as 1.5 gets here, and is truncated
+    return ChannelArrays.from_columns(records, frm, to, rates, incs, _flat_values(incs))
+
+
+def _first_bad_channel(n: int, records: tuple[str, ...], frm, to, rates, incs) -> None:
+    """Run the checks channel by channel and raise for the first failing one."""
+    declared = set(records)
+    for e, increments in enumerate(incs):
+        if not (0 <= frm[e] < n) or not (0 <= to[e] < n):
             raise ValidationError(f"channel {e}: state index out of range")
-        if ch.from_state == ch.to_state:
+        if frm[e] == to[e]:
             raise ValidationError(f"channel {e}: self-transition not allowed")
-        if not math.isfinite(ch.rate) or ch.rate < 0:
-            raise ValidationError(f"channel {e}: rate must be finite and >= 0, got {ch.rate!r}")
-        for key, val in ch.increments.items():
+        if not math.isfinite(rates[e]) or rates[e] < 0:
+            raise ValidationError(f"channel {e}: rate must be finite and >= 0, got {rates[e]!r}")
+        for key, val in increments.items():
             if key not in declared:
                 raise ValidationError(f"channel {e}: undeclared record {key!r}")
             if not math.isfinite(float(val)):
@@ -279,6 +350,11 @@ def load_network(document: str | bytes | dict) -> ChannelNetwork:
     "increments": {record: num}?}]}``.  Alternatively a single ``dot`` key
     with an energy-filtered dot description (levels/reservoirs/couplings)
     which is expanded into channels before validation.
+
+    The channel entries are read in one pass into columns, validated once
+    on them, and the arrays and ``TransitionChannel`` objects are built from
+    the same columns.  Where an entry is malformed, a per-entry loop names
+    the first one, with the checks and messages of the reference loader.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -309,7 +385,8 @@ def load_network(document: str | bytes | dict) -> ChannelNetwork:
     records = doc["records"]
     if not isinstance(records, list):
         raise ValidationError("'records' must be an array")
-    if not isinstance(doc["channels"], list):
+    entries = doc["channels"]
+    if not isinstance(entries, list):
         raise ValidationError("'channels' must be an array")
     if len(set(states)) != len(states):
         raise ValidationError("duplicate state name")
@@ -317,8 +394,57 @@ def load_network(document: str | bytes | dict) -> ChannelNetwork:
         raise ValidationError("a network needs at least 2 states")
     index = {name: i for i, name in enumerate(states)}
 
-    channels = []
-    for e, entry in enumerate(doc["channels"]):
+    try:
+        parsed = _entry_columns(entries, index)
+    except (LookupError, TypeError, ValueError, OverflowError):
+        parsed = None
+    if parsed is None:
+        parsed = _entry_columns_one_by_one(entries, index)
+    frm, to, rates, reservoirs, filters, incs = parsed
+    states, records = tuple(states), tuple(map(str, records))
+    arrays = _checked_arrays(states, records, frm, to, rates, incs)
+    channels = tuple(map(TransitionChannel, frm, to, reservoirs, rates, filters, incs))
+    net = object.__new__(ChannelNetwork)  # validated above: no second pass through __post_init__
+    net.__dict__.update(states=states, channels=channels, records=records, arrays=arrays)
+    return net
+
+
+def _entry_columns(entries: list, index: dict[str, int]) -> tuple | None:
+    """Columns of well-formed channel entries, read with C-level maps.
+
+    None, or a LookupError, TypeError, ValueError or OverflowError, where an
+    entry is malformed.  The increment maps are fresh dicts of floats.
+    """
+    get, call = operator.itemgetter, operator.methodcaller
+    if not all(map(isinstance, entries, repeat(dict))):
+        return None
+    rates = list(map(get("rate"), entries))
+    incs = list(map(call("get", "increments", {}), entries))
+    if (
+        not all(map(isinstance, rates, repeat((int, float))))
+        or any(map(isinstance, rates, repeat(bool)))
+        or not all(map(isinstance, incs, repeat(dict)))
+        or not set(map(type, set().union(*incs))) <= {str}  # other keys go through str()
+    ):
+        return None
+    if set(map(type, chain.from_iterable(map(dict.values, incs)))) <= {float}:
+        incs = list(map(dict.copy, incs))
+    else:
+        incs = [dict(zip(d, map(float, d.values()))) for d in incs]
+    return (
+        list(map(index.__getitem__, map(get("from"), entries))),
+        list(map(index.__getitem__, map(get("to"), entries))),
+        list(map(float, rates)),
+        list(map(str, map(call("get", "reservoir", ""), entries))),
+        list(map(str, map(call("get", "filter", ""), entries))),
+        incs,
+    )
+
+
+def _entry_columns_one_by_one(entries: list, index: dict[str, int]) -> tuple:
+    """``_entry_columns`` entry by entry, raising for the first malformed entry."""
+    columns = tuple([] for _ in range(6))
+    for e, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValidationError(f"channel {e}: must be an object")
         try:
@@ -342,17 +468,10 @@ def load_network(document: str | bytes | dict) -> ChannelNetwork:
             incs = {str(k): float(v) for k, v in incs.items()}
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"channel {e}: increments must be numbers") from None
-        channels.append(
-            TransitionChannel(
-                from_state=index[frm],
-                to_state=index[to],
-                reservoir=str(entry.get("reservoir", "")),
-                rate=rate,
-                filter=str(entry.get("filter", "")),
-                increments=incs,
-            )
-        )
-    return ChannelNetwork(states=tuple(states), channels=tuple(channels), records=tuple(records))
+        row = (index[frm], index[to], rate, str(entry.get("reservoir", "")), str(entry.get("filter", "")), incs)
+        for column, value in zip(columns, row):
+            column.append(value)
+    return columns
 
 
 def serialize_network(net: ChannelNetwork) -> str:

@@ -190,10 +190,10 @@ def record_hull_summary(net: ChannelNetwork, u, selected) -> tuple[HullSummand, 
     a = net.arrays
     columns = a.increments[net.record_rows(selected)][:, a.grouped].T.tolist()
     return tuple(
-        HullSummand(transition=t, weight=float(uv[k]), points=tuple(
-            dict.fromkeys(tuple(uv[k] * x for x in col) for col in columns[lo:hi])
+        HullSummand(transition=t, weight=w, points=tuple(
+            dict.fromkeys(tuple(map(w.__mul__, col)) for col in columns[lo:hi])
         ))
-        for k, (t, (lo, hi)) in enumerate(zip(transitions, a.spans))
+        for t, w, (lo, hi) in zip(transitions, uv.tolist(), a.spans)
     )
 
 

@@ -8,7 +8,7 @@ given the same inputs and flags they are byte-identical.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -48,7 +48,54 @@ def cumulant_section(rep: CumulantReport) -> dict[str, Any]:
 
 
 def to_json(report: dict[str, Any]) -> str:
-    return json.dumps(report, sort_keys=True, indent=2)
+    """The bytes of ``json.dumps(report, sort_keys=True, indent=2)``.
+
+    Python's C encoder is skipped whenever ``indent`` is set, so the report
+    is written here instead.  Types dispatch exactly; subclasses of str, int
+    and float are written as json.dumps writes them (``np.float64`` is a
+    float).  Floats are ``float.__repr__`` text, or NaN/Infinity/-Infinity,
+    and strings are escaped by json's own ASCII escaper.  Dict keys must be
+    str: another key, or a value JSON cannot hold, is a TypeError.
+    """
+    return _json_text(report, "\n")
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_WORDS.get(text, text)
+
+
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    float: _float_text,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(obj, newline: str) -> str:
+    """obj as json.dumps writes it with indent=2, nested one level below ``newline``."""
+    scalar = _SCALAR_TEXT.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    get, inner = _SCALAR_TEXT.get, newline + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [s(x) if (s := get(type(x))) else _json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if isinstance(obj, dict):  # the ASCII escaper refuses a key that is not a str
+        items = [
+            encode_basestring_ascii(k) + ": " + (s(v) if (s := get(type(v))) else _json_text(v, inner))
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    for base in (str, int, float):  # subclasses, in the order json.dumps tests them
+        if isinstance(obj, base):
+            return _SCALAR_TEXT[base](obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,22 @@ def test_simulate_reports_absorbed_trajectories(tmp_path, capsys):
     assert report["simulation"]["absorbed_trajectories"] == 5
 
 
+@pytest.mark.filterwarnings("ignore:simulating a non-ergodic network")
+def test_simulate_solves_a_non_ergodic_network_once(tmp_path, monkeypatch):
+    # the work bound, the chunk rate and the analytic reference all meet the cached failure
+    from chanjump import linalg
+
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"states": ["a", "b", "c", "d"], "records": [], "channels": [
+        _channel(i, j, "r", 1.0) for i, j in [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")]]}))
+    solves = []
+    solve = linalg.stationary_state
+    monkeypatch.setattr(linalg, "stationary_state", lambda L: solves.append(L) or solve(L))
+    argv = ["simulate", str(path), "--seed", "1", "--trajectories", "2", "--horizon", "5", "--initial", "0"]
+    assert run(argv) == 0
+    assert len(solves) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -691,6 +707,49 @@ def test_simulate_counts_a_cost_per_trajectory(twin_model, tmp_path, capsys):
     assert time.perf_counter() - t0 < 5.0
     err = capsys.readouterr().err
     assert "validation error: the run would make about 5e+10 jumps" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["no-such-dir/d.txt", "a-file/d.txt", "."])
+def test_an_unwritable_dump_is_refused_before_simulating(name, twin_model, tmp_path, capsys, monkeypatch):
+    from chanjump import montecarlo
+
+    (tmp_path / "a-file").write_text("")
+    calls = []
+    simulate = montecarlo.simulate
+    monkeypatch.setattr(montecarlo, "simulate", lambda *a, **k: calls.append(a) or simulate(*a, **k))
+    dump = tmp_path / name
+    argv = ["simulate", twin_model, "--seed", "1", "--trajectories", "2", "--horizon", "1", "--dump", str(dump)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    with pytest.raises(OSError) as opened:
+        open(dump, "w")
+    assert f"validation error: cannot write {dump}: {opened.value}" in err and "Traceback" not in err
+    assert calls == []
+
+
+def test_a_dump_to_an_existing_writable_file_is_checked_without_opening_it(twin_model, tmp_path, monkeypatch):
+    import builtins
+
+    dump = tmp_path / "dump.txt"
+    dump.write_text("an earlier run\n")
+    opened = []
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda f, *a, **k: opened.append(str(f)) or real_open(f, *a, **k))
+    argv = ["simulate", twin_model, "--seed", "1", "--trajectories", "2", "--horizon", "1", "--dump", str(dump)]
+    assert run(argv) == 0
+    assert opened.count(str(dump)) == 1  # only the copy of the finished run
+    assert dump.read_text().startswith("#")
+
+
+def test_a_negative_variance_is_a_numerical_error(tmp_path, capsys):
+    # the stiff two-state model: p_b underflows to 0 and the computed variance is -1e-300
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps({"states": ["a", "b"], "records": ["x"], "channels": [
+        _channel("a", "b", "r", 1e-300, x=1), _channel("b", "a", "r", 1e300, x=-1)]}))
+    assert run(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "numerical error: noise of record 'x' is a negative variance" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("flag", ["--dump", "--json"])

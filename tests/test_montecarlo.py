@@ -289,3 +289,23 @@ def test_the_walk_rate_only_sizes_chunks(factor, net_name, fields, monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_Walk", scaled)
     assert _run_with_dump(net, cfg) == reference
+
+
+@pytest.mark.filterwarnings("ignore:simulating a non-ergodic network")
+@pytest.mark.parametrize("initial", [0, None])
+def test_one_stationary_solve_per_simulate_call(initial, monkeypatch):
+    # two disconnected pairs: the failed solve is cached and re-raised, not repeated
+    from chanjump import linalg
+
+    pairs = [(0, 1, "r", 1.0), (1, 0, "r", 1.0), (2, 3, "r", 1.0), (3, 2, "r", 1.0)]
+    net = make_network(["a", "b", "c", "d"], pairs, [])
+    solves = []
+    solve = linalg.stationary_state
+    monkeypatch.setattr(linalg, "stationary_state", lambda L: solves.append(L) or solve(L))
+    cfg = SimConfig(n_trajectories=2, seed=3, t_max=5.0, initial=initial)
+    if initial is None:
+        with pytest.raises(ValidationError, match="network is not ergodic"):
+            simulate(net, cfg)
+    else:
+        simulate(net, cfg)
+    assert len(solves) == 1
