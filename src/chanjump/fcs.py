@@ -50,12 +50,13 @@ __all__ = [
 _MAX_EXPONENT = 700.0  # exp overflow threshold for doubles
 _EPS = float(np.finfo(float).eps)
 _NEWTON_STEPS = 8  # bordered Newton steps before a point falls back to eigvals
-# A noise diagonal below -_VARIANCE_SLACK * eps (2**-20, about 1e-6) times the size of the
-# terms that form it is a negative variance, not rounding.  A state-function record, whose
-# variance is exactly 0, stays above it on random networks with channel rates spread over
-# up to 12 decades (worst seen: 3e9 eps); the stiff two-state model, rates 1e-300 and
-# 1e300, sits at 1.5e15 eps.
-_VARIANCE_SLACK = 2.0**32
+# A noise diagonal below -_VARIANCE_SLACK * eps (2**-6, about 0.016) times the size of the
+# terms that form it is a negative variance, not rounding.  The SVD stationary state loses
+# relative accuracy on stiff rates, so the bound is loose: a state-function record, whose
+# variance is exactly 0, read down to -1e13 eps on random networks with channel rates
+# spread over 16 decades, and to -3e14 eps over 20 decades, where it can be refused.  The
+# stiff two-state model, rates 1e-300 and 1e300, sits at -1.5e15 eps.
+_VARIANCE_SLACK = 2.0**46
 # One stack of the finite-difference stencil holds about this many cells, n^2 + E per
 # point, so its transient memory does not grow with the number of records.
 _STACK_CELLS = 1 << 16

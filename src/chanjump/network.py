@@ -27,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -74,9 +74,10 @@ class ChannelNetwork:
     """Validated immutable network: states, channels, declared records.
 
     Construction reads the channels as columns (from and to indices, rates,
-    increment maps), validates them once, on the columns, and builds
-    ``arrays`` from the same columns.  ``load_network`` gathers the columns
-    from the model file and builds the channel objects from them.
+    increment maps), validates them once, on the columns, and sets
+    ``arrays``, the ChannelArrays built from the same columns.  Every
+    network is made here: ``load_network`` builds the channel objects from
+    the model file's columns and passes them in.
     """
 
     states: tuple[str, ...]
@@ -90,7 +91,7 @@ class ChannelNetwork:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "records", records)
-        self.__dict__["arrays"] = _checked_arrays(states, records, *_object_columns(channels))
+        object.__setattr__(self, "arrays", _checked_arrays(states, records, *_object_columns(channels)))
 
     @property
     def n_states(self) -> int:
@@ -116,11 +117,6 @@ class ChannelNetwork:
     def transitions(self) -> tuple[tuple[int, int], ...]:
         """Distinct ordered state pairs in first-appearance order."""
         return self.arrays.transitions
-
-    @cached_property
-    def arrays(self) -> ChannelArrays:
-        """Array view of the channels, built with the network from its column view."""
-        return ChannelArrays.of(self)
 
     @cached_property
     def generator(self) -> StateGenerator:
@@ -171,12 +167,6 @@ class ChannelArrays:
     pairs: np.ndarray
     transitions: tuple[tuple[int, int], ...]
     spans: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, net: ChannelNetwork) -> ChannelArrays:
-        """The array view of a network's channels, built from their columns."""
-        frm, to, rates, incs = _object_columns(net.channels)
-        return cls.from_columns(net.records, frm, to, rates, incs, _flat_values(incs))
 
     @classmethod
     def from_columns(cls, records, frm, to, rates, incs, values: np.ndarray) -> ChannelArrays:
@@ -351,10 +341,11 @@ def load_network(document: str | bytes | dict) -> ChannelNetwork:
     with an energy-filtered dot description (levels/reservoirs/couplings)
     which is expanded into channels before validation.
 
-    The channel entries are read in one pass into columns, validated once
-    on them, and the arrays and ``TransitionChannel`` objects are built from
-    the same columns.  Where an entry is malformed, a per-entry loop names
-    the first one, with the checks and messages of the reference loader.
+    The channel entries are read in one pass into columns, which checks
+    their types and names the first malformed entry.  The
+    ``TransitionChannel`` objects are built from the columns and the
+    ``ChannelNetwork`` constructor validates them once, on their column
+    view, with the same messages as a per-channel pass.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -394,55 +385,17 @@ def load_network(document: str | bytes | dict) -> ChannelNetwork:
         raise ValidationError("a network needs at least 2 states")
     index = {name: i for i, name in enumerate(states)}
 
-    try:
-        parsed = _entry_columns(entries, index)
-    except (LookupError, TypeError, ValueError, OverflowError):
-        parsed = None
-    if parsed is None:
-        parsed = _entry_columns_one_by_one(entries, index)
-    frm, to, rates, reservoirs, filters, incs = parsed
-    states, records = tuple(states), tuple(map(str, records))
-    arrays = _checked_arrays(states, records, frm, to, rates, incs)
+    frm, to, rates, reservoirs, filters, incs = _entry_columns(entries, index)
     channels = tuple(map(TransitionChannel, frm, to, reservoirs, rates, filters, incs))
-    net = object.__new__(ChannelNetwork)  # validated above: no second pass through __post_init__
-    net.__dict__.update(states=states, channels=channels, records=records, arrays=arrays)
-    return net
+    return ChannelNetwork(states=states, channels=channels, records=records)
 
 
-def _entry_columns(entries: list, index: dict[str, int]) -> tuple | None:
-    """Columns of well-formed channel entries, read with C-level maps.
+def _entry_columns(entries: list, index: dict[str, int]) -> tuple:
+    """Columns of the channel entries, raising for the first malformed entry.
 
-    None, or a LookupError, TypeError, ValueError or OverflowError, where an
-    entry is malformed.  The increment maps are fresh dicts of floats.
+    From and to indices, float rates, reservoir and filter labels, and the
+    increment maps as fresh dicts of floats.
     """
-    get, call = operator.itemgetter, operator.methodcaller
-    if not all(map(isinstance, entries, repeat(dict))):
-        return None
-    rates = list(map(get("rate"), entries))
-    incs = list(map(call("get", "increments", {}), entries))
-    if (
-        not all(map(isinstance, rates, repeat((int, float))))
-        or any(map(isinstance, rates, repeat(bool)))
-        or not all(map(isinstance, incs, repeat(dict)))
-        or not set(map(type, set().union(*incs))) <= {str}  # other keys go through str()
-    ):
-        return None
-    if set(map(type, chain.from_iterable(map(dict.values, incs)))) <= {float}:
-        incs = list(map(dict.copy, incs))
-    else:
-        incs = [dict(zip(d, map(float, d.values()))) for d in incs]
-    return (
-        list(map(index.__getitem__, map(get("from"), entries))),
-        list(map(index.__getitem__, map(get("to"), entries))),
-        list(map(float, rates)),
-        list(map(str, map(call("get", "reservoir", ""), entries))),
-        list(map(str, map(call("get", "filter", ""), entries))),
-        incs,
-    )
-
-
-def _entry_columns_one_by_one(entries: list, index: dict[str, int]) -> tuple:
-    """``_entry_columns`` entry by entry, raising for the first malformed entry."""
     columns = tuple([] for _ in range(6))
     for e, entry in enumerate(entries):
         if not isinstance(entry, dict):
