@@ -282,8 +282,6 @@ def cmd_simulate(args) -> dict:
         initial=args.initial,
         burn_in=args.burn_in,
     )
-    if args.dump:
-        _check_writable(args.dump)  # before the run, which may take long
     # jumps go to a scratch file, copied to --dump only once the report is built,
     # so a refused or failed run leaves an existing dump as it was
     with tempfile.TemporaryFile("w+") if args.dump else contextlib.nullcontext() as dump:
@@ -414,6 +412,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for path in filter(None, (args.json, getattr(args, "dump", None))):
+            _check_writable(path)  # before the run, which may take long
         report = args.func(args)
         if args.json:
             with _open_for_writing(args.json) as handle:

@@ -33,6 +33,7 @@ from .network import (
     build_projection,
     channel_counts,
 )
+from .records import stationary_transition_totals
 
 __all__ = [
     "CompletenessVerdict",
@@ -215,22 +216,21 @@ def predictability_test(
 def quotient_form(net: ChannelNetwork, R_inv=None) -> QuotientForm:
     """Effective quadratic cost of transition-current fluctuations.
 
-    R_inv is the diagonal channel-current covariance; by default the
-    stationary channel traffic rate_e * p_from(e), the independent-Poisson
-    choice.  Supplying R_inv (a positive diagonal, as a vector or a diagonal
-    matrix) overrides it.  P R_inv P^T is diagonal, holding the per-transition
-    sums of R_inv, so Q is their reciprocal; as in a pseudoinverse at rcond
-    1e-10, a sum at most 1e-10 times the largest gives 0.
+    R_inv is the diagonal channel-current covariance, by default the
+    stationary traffic rate_e * p_from(e) (independent Poisson; positive on
+    every channel), whose per-transition sums are the generator's stationary
+    totals u, so Q = diag(1/u).  A supplied R_inv (a positive diagonal, as a
+    vector or a diagonal matrix) is summed per transition, P R_inv P^T; as in
+    a pseudoinverse at rcond 1e-10, a sum at most 1e-10 times the largest gives 0.
     """
     e = net.n_channels
     arrays = net.arrays
     if R_inv is None:
-        diag = arrays.rate * net.stationary.p[arrays.from_state]
-        source = "stationary_traffic"
-        if not np.all(diag > 0):
+        if not np.all(arrays.rate * net.stationary.p[arrays.from_state] > 0):
             raise ValidationError(
                 "stationary traffic is not strictly positive; supply R_inv explicitly"
             )
+        g, source = stationary_transition_totals(net), "stationary_traffic"
     else:
         A = np.asarray(R_inv, dtype=float)
         if A.ndim == 2:
@@ -244,7 +244,7 @@ def quotient_form(net: ChannelNetwork, R_inv=None) -> QuotientForm:
         source = "user_supplied"
         if not np.all(diag > 0):
             raise ValidationError("R_inv diagonal must be strictly positive")
-    g = ChannelArrays.sum_by(diag[None, :], arrays.transition, len(arrays.counts))[0]
+        g = ChannelArrays.sum_by(diag[None, :], arrays.transition, len(arrays.counts))[0]
     kept = g > DEFAULT_TOL * g.max()
     Q = np.diag(np.divide(1.0, g, out=np.zeros_like(g), where=kept))
     Q.flags.writeable = False

@@ -428,7 +428,7 @@ def _initial_sampler(net: ChannelNetwork, cfg: SimConfig):
             ) from None
     else:
         p = np.asarray(cfg.initial, dtype=float)
-        if p.shape != (net.n_states,) or p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
+        if p.shape != (net.n_states,) or not (p.min() >= 0 and abs(p.sum() - 1.0) <= 1e-9):  # NaN and inf fail
             raise ValidationError("initial must be a probability vector over the states")
     return None, np.cumsum(p)
 

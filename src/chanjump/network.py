@@ -27,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -272,6 +272,9 @@ def _flat_values(incs: Sequence[Mapping]) -> np.ndarray:
     return np.fromiter(chain.from_iterable(map(operator.methodcaller("values"), incs)), float)
 
 
+_INDEX_TYPES = (int, np.integer)  # a state index is a Python or a numpy integer
+
+
 def _checked_arrays(states: tuple, records: tuple[str, ...], frm, to, rates, incs) -> ChannelArrays:
     """Validate a network given by its channel columns; its ChannelArrays.
 
@@ -293,12 +296,12 @@ def _checked_arrays(states: tuple, records: tuple[str, ...], frm, to, rates, inc
         raise ValidationError("duplicate record name")
     if not all(records):
         raise ValidationError("record names must be nonempty")
-    in_range = range(len(states)).__contains__  # False for NaN, which min/max can miss
     try:
         values = _flat_values(incs)
         if (
-            all(map(in_range, frm))
-            and all(map(in_range, to))
+            all(map(isinstance, chain(frm, to), repeat(_INDEX_TYPES)))
+            and min(min(frm), min(to)) >= 0
+            and max(max(frm), max(to)) < len(states)
             and not any(map(operator.eq, frm, to))
             and all(map(math.isfinite, rates))
             and min(rates) >= 0
@@ -308,16 +311,14 @@ def _checked_arrays(states: tuple, records: tuple[str, ...], frm, to, rates, inc
     except (LookupError, TypeError, ValueError, OverflowError):
         pass
     _first_bad_channel(len(states), records, frm, to, rates, incs)
-    # no channel fails a check: only a float index such as 1.5 gets here, and is truncated
-    return ChannelArrays.from_columns(records, frm, to, rates, incs, _flat_values(incs))
 
 
 def _first_bad_channel(n: int, records: tuple[str, ...], frm, to, rates, incs) -> None:
     """Run the checks channel by channel and raise for the first failing one."""
     declared = set(records)
     for e, increments in enumerate(incs):
-        if not (0 <= frm[e] < n) or not (0 <= to[e] < n):
-            raise ValidationError(f"channel {e}: state index out of range")
+        if not all(isinstance(i, _INDEX_TYPES) and 0 <= i < n for i in (frm[e], to[e])):
+            raise ValidationError(f"channel {e}: state index must be an integer in [0, {n})")
         if frm[e] == to[e]:
             raise ValidationError(f"channel {e}: self-transition not allowed")
         if not math.isfinite(rates[e]) or rates[e] < 0:

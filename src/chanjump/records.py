@@ -58,9 +58,9 @@ class EntropyReport:
     """Resolved and coarse-grained entropy production rates (k_B = 1).
 
     ``resolved`` pairs channels by (reservoir, filter) with reversed
-    transition; ``coarse`` pairs transition totals.  A unidirectional pair
-    with positive forward flux makes the rate infinite; that is reported as
-    math.inf, not an exception, with the pair named in ``note``.
+    transition; ``coarse`` pairs the state generator's transition currents
+    W_t p_from.  A unidirectional pair with positive forward flux makes the
+    rate infinite, reported as math.inf with the pair named in ``note``.
     """
 
     resolved: float
@@ -81,7 +81,7 @@ def _check_probability(net: ChannelNetwork, p) -> np.ndarray:
     pv = np.asarray(p, dtype=float)
     if pv.shape != (net.n_states,):
         raise ValidationError(f"probability vector has length {pv.size}, expected {net.n_states}")
-    if pv.min() < -1e-12 or abs(pv.sum() - 1.0) > 1e-9:
+    if not (pv.min() >= -1e-12 and abs(pv.sum() - 1.0) <= 1e-9):  # NaN and inf fail
         raise ValidationError("p must be a probability vector")
     return pv
 
@@ -91,30 +91,32 @@ def mean_record(net: ChannelNetwork, p, mu: str) -> float:
     (row,) = net.record_rows([mu])
     pv = _check_probability(net, p)
     a = net.arrays
-    return math.fsum(a.increments[row] * a.rate * pv[a.from_state])
+    return finite_fsum(a.increments[row] * a.rate * pv[a.from_state], f"the mean of record {mu!r}")
 
 
-def _flux_pairs(net: ChannelNetwork, pv: np.ndarray, coarse: bool):
-    """Conjugate flux pairs (label, forward flux, backward flux).
+def _flux_pairs(net: ChannelNetwork, pv: np.ndarray):
+    """Conjugate channel flux pairs (label, forward flux, backward flux).
 
-    Resolved pairing groups channels by (reservoir, filter, state pair);
-    coarse pairing ignores the channel labels.  Duplicate conjugate
-    candidates are summed into one effective pair.  Raises when a positive
-    rate channel has no structurally declared reverse partner.
+    Channels are grouped by (reservoir, filter, state pair); duplicate
+    conjugate candidates are summed into one effective pair.  Raises when a
+    positive rate channel has no structurally declared reverse partner.
     """
     groups: dict[tuple, tuple[list[float], list[float]]] = {}
     for ch in net.channels:
         lo, hi = sorted((ch.from_state, ch.to_state))
-        key = (lo, hi) if coarse else (ch.reservoir, ch.filter, lo, hi)
-        groups.setdefault(key, ([], []))[ch.from_state == hi].append(ch.rate)
+        groups.setdefault((ch.reservoir, ch.filter, lo, hi), ([], []))[ch.from_state == hi].append(ch.rate)
     for key, (fwd, bwd) in groups.items():
-        if not coarse:
-            if not bwd and any(r > 0 for r in fwd):
-                raise ValidationError(f"channel group {key} has no reverse partner")
-            if not fwd and any(r > 0 for r in bwd):
-                raise ValidationError(f"channel group {key} has no forward partner")
+        if not bwd and any(r > 0 for r in fwd):
+            raise ValidationError(f"channel group {key} has no reverse partner")
+        if not fwd and any(r > 0 for r in bwd):
+            raise ValidationError(f"channel group {key} has no forward partner")
         lo, hi = key[-2:]
-        yield key, math.fsum(r * pv[lo] for r in fwd), math.fsum(r * pv[hi] for r in bwd)
+        yield key, finite_fsum((r * pv[lo] for r in fwd), "a flux"), finite_fsum((r * pv[hi] for r in bwd), "a flux")
+
+
+def _transition_currents(net: ChannelNetwork, pv: np.ndarray) -> np.ndarray:
+    frm, to = net.arrays.pairs.T
+    return net.generator.matrix[to, frm] * pv[frm]
 
 
 def _sigma(pairs) -> tuple[float, list]:
@@ -135,10 +137,13 @@ def _sigma(pairs) -> tuple[float, list]:
 
 
 def entropy_production(net: ChannelNetwork, p) -> EntropyReport:
-    """Entropy production rate at occupation p, resolved and coarse-grained."""
+    """Entropy production rate at occupation p; ``coarse`` reads the generator's currents alone."""
     pv = _check_probability(net, p)
-    resolved, inf_res = _sigma(_flux_pairs(net, pv, coarse=False))
-    coarse, inf_coarse = _sigma(_flux_pairs(net, pv, coarse=True))
+    resolved, inf_res = _sigma(_flux_pairs(net, pv))
+    currents: dict[tuple[int, int], list[float]] = {}
+    for (i, j), flux in zip(net.arrays.pairs.tolist(), _transition_currents(net, pv).tolist()):
+        currents.setdefault((min(i, j), max(i, j)), [0.0, 0.0])[i > j] = flux
+    coarse, inf_coarse = _sigma((key, *fb) for key, fb in currents.items())
     bits = ["pairing: (reservoir, filter) with reversed transition"]
     if inf_res:
         bits.append(f"unidirectional resolved pairs: {inf_res}")
@@ -198,9 +203,7 @@ def record_hull_summary(net: ChannelNetwork, u, selected) -> tuple[HullSummand, 
 
 
 def stationary_transition_totals(net: ChannelNetwork) -> np.ndarray:
-    """Stationary ordered-transition currents u_t = W_t p_from, canonical order."""
-    p = net.stationary.p
-    frm, to = net.arrays.pairs.T
-    u = net.generator.matrix[to, frm] * p[frm]
+    """Stationary ordered-transition currents u_t = W_t p_from, read off the generator alone."""
+    u = _transition_currents(net, net.stationary.p)
     u.flags.writeable = False
     return u

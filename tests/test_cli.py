@@ -840,3 +840,22 @@ def test_cli_flags_never_raise(drawn, flags_dir):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert code == 0 or "error:" in err.getvalue()
+
+
+@pytest.mark.parametrize("flag", ["--json", "--dump"])
+def test_an_unwritable_output_path_is_refused_before_the_model_is_read(flag, twin_model, tmp_path, capsys, monkeypatch):
+    from chanjump import cli, montecarlo
+
+    calls = []
+    load, simulate = cli.load_network, montecarlo.simulate
+    monkeypatch.setattr(cli, "load_network", lambda *a: calls.append("load") or load(*a))
+    monkeypatch.setattr(montecarlo, "simulate", lambda *a, **k: calls.append("simulate") or simulate(*a, **k))
+    missing = tmp_path / "missing-dir" / "x.json"
+    argv = ["simulate", twin_model, "--seed", "1", "--trajectories", "50", "--horizon", "100000", flag, str(missing)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert f"validation error: cannot write {missing}" in captured.err and captured.out == ""
+    assert calls == []
+    # reported before a bad model, too
+    assert run(["analyze", str(tmp_path / "no-model.json"), "--json", str(missing)]) == 1
+    assert f"validation error: cannot write {missing}" in capsys.readouterr().err

@@ -309,3 +309,10 @@ def test_one_stationary_solve_per_simulate_call(initial, monkeypatch):
     else:
         simulate(net, cfg)
     assert len(solves) == 1
+
+
+@pytest.mark.parametrize("initial", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0], [math.inf, -math.inf]])
+def test_a_non_finite_initial_distribution_is_refused(initial):
+    cfg = SimConfig(n_trajectories=2, seed=1, t_max=1.0, initial=initial)
+    with pytest.raises(ValidationError, match="initial must be a probability vector"):
+        simulate(two_state_cycle(), cfg)

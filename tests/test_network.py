@@ -17,7 +17,7 @@ from chanjump import (
     serialize_network,
     twin_dot_spec,
 )
-from chanjump.network import ChannelNetwork
+from chanjump.network import ChannelNetwork, TransitionChannel
 
 from conftest import F_L, GAMMA_MINUS, GAMMA_PLUS, make_network, random_network
 
@@ -275,3 +275,21 @@ def test_non_ergodic_network_raises_on_every_stationary_access(monkeypatch):
             net.stationary
     # the failed solve is cached like a successful one: one SVD for every access
     assert len(solves) == 1 and solves[0] is net.generator
+
+
+@pytest.mark.parametrize("index", [1.5, 1.0, np.float64(1.0), "1"])
+def test_a_state_index_that_is_not_an_integer_is_refused(index):
+    channels = (TransitionChannel(0, index, "r", 1.0), TransitionChannel(1, 0, "r", 1.0))
+    with pytest.raises(ValidationError, match=r"^channel 0: state index must be an integer in \[0, 3\)$"):
+        ChannelNetwork(("a", "b", "c"), channels, ())
+
+
+def test_a_numpy_integer_state_index_is_accepted():
+    def network(index):
+        channels = (TransitionChannel(index(0), index(2), "r", 1.0), TransitionChannel(2, index(1), "r", 0.5))
+        return ChannelNetwork(("a", "b", "c"), channels, ())
+
+    ints, numpy_ints = network(int).arrays, network(np.int64).arrays
+    for name in ("from_state", "to_state", "transition", "rate", "increments", "counts", "grouped", "pairs"):
+        assert np.array_equal(getattr(numpy_ints, name), getattr(ints, name)), name
+    assert numpy_ints.transitions == ints.transitions and numpy_ints.spans == ints.spans

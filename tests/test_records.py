@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chanjump import (
+    NumericalError,
     ValidationError,
     build_dot,
     build_generator,
@@ -284,3 +285,25 @@ def test_stationary_totals_detailed_balance():
     u = stationary_transition_totals(net)
     assert abs(u[0] - u[1]) < 1e-14
     assert u.min() >= 0.0
+
+
+@pytest.mark.parametrize("p", [[math.nan, 1.0], [math.nan, math.nan], [math.inf, 0.0], [math.inf, -math.inf]])
+def test_a_non_finite_occupation_is_not_a_probability_vector(p):
+    net = make_network(["a", "b"], [(0, 1, "r", 1.0, "", {"x": 1.0}), (1, 0, "r", 1.0)], ["x"])
+    with pytest.raises(ValidationError, match="p must be a probability vector"):
+        mean_record(net, p, "x")
+    with pytest.raises(ValidationError, match="p must be a probability vector"):
+        entropy_production(net, p)
+
+
+def test_a_mean_record_past_the_largest_double_is_a_numerical_error():
+    net = make_network(["a", "b"], [(0, 1, "r", 1.0, "", {"x": 1e308}), (0, 1, "r", 1.0, "", {"x": 1e308}),
+                                    (1, 0, "r", 1.0)], ["x"])
+    with pytest.raises(NumericalError, match="the mean of record 'x' exceeds the largest double"):
+        mean_record(net, [1.0, 0.0], "x")
+
+
+def test_a_resolved_flux_past_the_largest_double_is_a_numerical_error():
+    net = make_network(["a", "b"], [(0, 1, "r", 1e308), (0, 1, "r", 1e308), (1, 0, "r", 1.0)], [])
+    with pytest.raises(NumericalError, match="a flux exceeds the largest double"):
+        entropy_production(net, [1.0, 0.0])
