@@ -101,10 +101,12 @@ def _flux_pairs(net: ChannelNetwork, pv: np.ndarray):
     conjugate candidates are summed into one effective pair.  Raises when a
     positive rate channel has no structurally declared reverse partner.
     """
+    a = net.arrays
     groups: dict[tuple, tuple[list[float], list[float]]] = {}
-    for ch in net.channels:
-        lo, hi = sorted((ch.from_state, ch.to_state))
-        groups.setdefault((ch.reservoir, ch.filter, lo, hi), ([], []))[ch.from_state == hi].append(ch.rate)
+    # state indices and rates as Python ints and floats, whatever types the channels hold
+    for ch, frm, to, rate in zip(net.channels, a.from_state.tolist(), a.to_state.tolist(), a.rate.tolist()):
+        lo, hi = sorted((frm, to))
+        groups.setdefault((ch.reservoir, ch.filter, lo, hi), ([], []))[frm == hi].append(rate)
     for key, (fwd, bwd) in groups.items():
         if not bwd and any(r > 0 for r in fwd):
             raise ValidationError(f"channel group {key} has no reverse partner")

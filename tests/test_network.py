@@ -293,3 +293,41 @@ def test_a_numpy_integer_state_index_is_accepted():
     for name in ("from_state", "to_state", "transition", "rate", "increments", "counts", "grouped", "pairs"):
         assert np.array_equal(getattr(numpy_ints, name), getattr(ints, name)), name
     assert numpy_ints.transitions == ints.transitions and numpy_ints.spans == ints.spans
+
+
+def test_numpy_integer_indices_give_the_int_network_s_transitions_and_entropy():
+    from chanjump import entropy_production
+
+    def network(index, channels):
+        return ChannelNetwork(("a", "b", "c"), tuple(
+            TransitionChannel(index(i), index(j), res, rate) for i, j, res, rate in channels
+        ), ())
+
+    paired = [(0, 1, "r", 1.0), (1, 0, "r", 2.0), (1, 2, "r", 1.0), (2, 1, "s", 0.5), (1, 2, "s", 0.25), (2, 1, "r", 0.0)]
+    ints, numpy_ints = network(int, paired), network(np.int64, paired)
+    assert numpy_ints.transitions() == ints.transitions() == ((0, 1), (1, 0), (1, 2), (2, 1))
+    assert all(type(i) is int for pair in numpy_ints.transitions() for i in pair)
+    p = [0.5, 0.25, 0.25]
+    assert entropy_production(numpy_ints, p) == entropy_production(ints, p)
+    assert "unidirectional resolved pairs: [('r', '', 1, 2)]" in entropy_production(numpy_ints, p).note
+
+    unpaired = [(0, 1, "r", 1.0), (1, 2, "r", 1.0)]
+    for index in (int, np.int64):
+        with pytest.raises(ValidationError, match=r"^channel group \('r', '', 0, 1\) has no reverse partner$"):
+            entropy_production(network(index, unpaired), [1 / 3] * 3)
+
+
+@pytest.mark.parametrize(
+    "rate, increment, message",
+    [
+        ("1", 0.0, "channel 0: rate must be a number"),
+        (None, 0.0, "channel 0: rate must be a number"),
+        (10**400, 0.0, "channel 0: rate is too large for a float"),
+        (1.0, "abc", "channel 0: increments must be numbers"),
+        (1.0, None, "channel 0: increments must be numbers"),
+    ],
+)
+def test_a_non_numeric_rate_or_increment_is_a_validation_error(rate, increment, message):
+    channels = (TransitionChannel(0, 1, "r", rate, increments={"x": increment}), TransitionChannel(1, 0, "r", 1.0))
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        ChannelNetwork(("a", "b"), channels, ("x",))
