@@ -81,24 +81,26 @@ def _model_section(net) -> dict:
     }
 
 
+def _witness_fields(verdict) -> dict:
+    """A verdict's witness and its record image, as report vectors; None for a complete verdict."""
+    if verdict.witness is None:
+        return {"witness": None, "witness_image": None}
+    return {"witness": rpt.vector(verdict.witness), "witness_image": rpt.vector(verdict.witness_image)}
+
+
 def _kernel_section(net, tol: float) -> dict:
     e, e0 = channel_counts(net)
     D = build_record_map(net, net.records)
     verdict = comp.completeness_test(net, D, tol)
-    out = {
+    return {
         "E": e,
         "E0": e0,
         "dim_ker_P": e - e0,
         "d_lost": verdict.lost_rank,
         "complete": verdict.complete,
-        "witness": None,
-        "witness_image": None,
+        **_witness_fields(verdict),
         "method": "analytic",
     }
-    if verdict.witness is not None:
-        out["witness"] = rpt.vector(verdict.witness)
-        out["witness_image"] = rpt.vector(verdict.witness_image)
-    return out
 
 
 def _entropy_section(net) -> dict:
@@ -146,20 +148,16 @@ def cmd_diagnose(args) -> dict:
     for name in targets:
         D_tar = build_record_map(net, [name])
         verdict = comp.predictability_test(net, D_meas, D_tar, tol)
-        entry = {
+        entries.append({
             "record": name,
             "predictable": verdict.complete,
             "lost_rank": verdict.lost_rank,
-            "witness": None,
-            "witness_image": None,
-        }
-        if verdict.witness is not None:
-            entry["witness"] = rpt.vector(verdict.witness)
-            entry["witness_image"] = rpt.vector(verdict.witness_image)
-        entries.append(entry)
+            **_witness_fields(verdict),
+        })
+    e, e0 = channel_counts(net)
     report["diagnosis"] = {
         "measured": list(measured),
-        "remaining_dim": comp._remaining_dim(net, D_meas, tol),
+        "remaining_dim": e - e0 - comp.completeness_test(net, D_meas, tol).lost_rank,
         "targets": entries,
         "method": "analytic",
     }

@@ -32,6 +32,7 @@ from .network import (
     RecordMap,
     build_projection,
     channel_counts,
+    checked_vector,
 )
 from .records import stationary_transition_totals
 
@@ -52,10 +53,11 @@ __all__ = [
 class CompletenessVerdict:
     """Outcome of a kernel test.
 
-    ``witness`` is a unit channel-space vector with P c = 0 and D c != 0,
-    present exactly when the verdict is incomplete; ``witness_image`` is its
-    record image D c.  ``lost_rank`` counts the independent record directions
-    not reconstructible from state dynamics.
+    ``witness`` is a unit vector c of channel-flux changes with P c = 0 and
+    D c != 0, present exactly when the verdict is incomplete;
+    ``witness_image`` is D c, the record-rate change it causes.  ``lost_rank``
+    counts the independent record directions not reconstructible from state
+    dynamics.
     """
 
     complete: bool
@@ -91,7 +93,7 @@ def _record_matrix(D, n_channels: int, what: str) -> np.ndarray:
 
 
 def generator_preserving_basis(net: ChannelNetwork, tol: float = DEFAULT_TOL) -> KernelBasis:
-    """Orthonormal basis of ker P, the generator-invisible channel space.
+    """Orthonormal basis of ker P, the generator-invisible channel-flux redistributions.
 
     Its dimension is exactly E - E0: one independent redistribution per
     excess channel on a transition.  A transition's k channels (in channel
@@ -161,10 +163,10 @@ def _hidden_dim(net: ChannelNetwork) -> int:
 def completeness_test(net: ChannelNetwork, D, tol: float = DEFAULT_TOL) -> CompletenessVerdict:
     """Are the records of D determined by the state generator alone?
 
-    Complete iff D c = 0 for every c in ker P, equivalently iff every row of
-    D lies in the row space of P.  When incomplete, the witness is the kernel
-    direction with the largest record image (sign fixed so its first nonzero
-    component is positive).
+    Complete iff D c = 0 for every channel-flux change c in ker P,
+    equivalently iff every row of D lies in the row space of P.  When
+    incomplete, the witness is the kernel direction with the largest record
+    image (sign fixed so its first nonzero component is positive).
     """
     Dm = _record_matrix(D, net.n_channels, "record map")
     return _kernel_verdict(Dm, net.arrays.centred(Dm), _hidden_dim(net), tol)
@@ -177,13 +179,8 @@ def _measured_rows(net: ChannelNetwork, D_meas, tol: float) -> np.ndarray:
     return Vh[:rank] if rank else np.zeros((0, net.n_channels))
 
 
-def _remaining_dim(net: ChannelNetwork, D_meas, tol: float = DEFAULT_TOL) -> int:
-    """Dimension of ``remaining_kernel``: (E - E0) - rank(centred D_meas)."""
-    return _hidden_dim(net) - len(_measured_rows(net, D_meas, tol))
-
-
 def remaining_kernel(net: ChannelNetwork, D_meas, tol: float = DEFAULT_TOL) -> KernelBasis:
-    """Generator-invisible directions not resolved by the measured records.
+    """Generator-invisible channel-flux directions not resolved by the measured records.
 
     The kernel of the stacked matrix [P; D_meas]: the generator-preserving
     directions orthogonal to the centred measured rows.  Empty measured rows
@@ -205,7 +202,7 @@ def predictability_test(
     """Is the target record fixed once the generator and D_meas are known?
 
     Decided like ``completeness_test`` on the centred target rows with their
-    component along the centred measured rows removed.
+    component along the centred measured rows removed; the witness is a flux change.
     """
     Dt = _record_matrix(D_tar, net.n_channels, "target record map")
     Q = _measured_rows(net, D_meas, tol)
@@ -255,17 +252,13 @@ def first_order_record_change(net: ChannelNetwork, c, p, mu: str) -> float:
     """Record-rate change, to first order, under the rate perturbation c.
 
     Evaluates sum_e d_e c_e p_from(e); zero for every p exactly when the
-    record is insensitive to the redistribution c.
+    record is insensitive to the redistribution c.  c perturbs rates: a
+    channel-flux vector f (a kernel vector or witness) is the rate change
+    f / p_from, which moves record mu by (D f)[mu].
     """
     (row,) = net.record_rows([mu])
-    cv = np.asarray(c, dtype=float)
-    if cv.shape != (net.n_channels,):
-        raise ValidationError(
-            f"perturbation has length {cv.size}, expected {net.n_channels} channels"
-        )
-    pv = np.asarray(p, dtype=float)
-    if pv.shape != (net.n_states,):
-        raise ValidationError("probability vector has wrong length")
+    cv = checked_vector(c, net.n_channels, "perturbation", " channels")
+    pv = checked_vector(p, net.n_states, "probability vector")
     arrays = net.arrays
     d = arrays.increments[row]
     return float(np.sum(d * cv * pv[arrays.from_state]))

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .network import ChannelNetwork, TransitionChannel, build_generator
+from .network import ChannelNetwork, TransitionChannel, build_generator, checked_vector
 from .records import RecordInterval
 
 __all__ = [
@@ -292,10 +292,8 @@ def dot_heat_bounds(
     q = eps_i - mu_r over the allowed reservoirs, and correspondingly for
     leaving.  Tight labels name the reservoirs attaining each endpoint.
     """
-    pv = np.asarray(p, dtype=float)
     n = len(spec.levels)
-    if pv.shape != (n + 1,):
-        raise ValidationError(f"probability vector has length {pv.size}, expected {n + 1}")
+    pv = checked_vector(p, n + 1, "probability vector")
     if len(allowed_in) != n or len(allowed_out) != n:
         raise ValidationError("allowed reservoir sets must be given per level")
 

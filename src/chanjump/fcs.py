@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .linalg import drazin_inverse
-from .network import ChannelArrays, ChannelNetwork
+from .network import ChannelArrays, ChannelNetwork, checked_vector
 
 __all__ = [
     "CumulantReport",
@@ -360,16 +360,15 @@ def tilted_null_variation(
 ) -> np.ndarray:
     """First-order change of the tilted generator under a rate perturbation c.
 
+    c perturbs rates, not fluxes: a channel-flux vector f, such as a kernel
+    vector or a witness, is the rate change f / p_from.
+
     Off-diagonal entry (n, m) gets sum over channels m -> n of c_e exp(chi .
     d_e); the diagonal gets the (untilted) escape-rate change, which vanishes
     exactly when c preserves per-transition totals, i.e. for every c in
     ker P.
     """
-    cv = np.asarray(c, dtype=float)
-    if cv.shape != (net.n_channels,):
-        raise ValidationError(
-            f"perturbation has length {cv.size}, expected {net.n_channels} channels"
-        )
+    cv = checked_vector(c, net.n_channels, "perturbation", " channels")
     a = net.arrays
     n = net.n_states
     weights = np.concatenate([cv * _tilt_factors(_exponents(net, chi)), -cv])

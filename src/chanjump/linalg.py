@@ -115,19 +115,22 @@ def drazin_inverse(L, p: StationaryState | np.ndarray | None = None) -> np.ndarr
     return R
 
 
+def _finite(A: np.ndarray, what: str) -> np.ndarray:
+    """A itself; a NumericalError naming ``what`` if an entry is inf or NaN."""
+    if not np.all(np.isfinite(A)):
+        raise NumericalError(f"{what} requires finite entries")
+    return A
+
+
 def pseudo_inverse(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse; singular values below tol * s_max are zeroed."""
-    A = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(A)):
-        raise NumericalError("pseudo_inverse requires finite entries")
+    A = _finite(np.asarray(M, dtype=float), "pseudo_inverse")
     return np.linalg.pinv(A, rcond=tol)
 
 
 def numerical_rank(M, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values >= tol * s_max (0 for the zero matrix)."""
-    A = np.atleast_2d(np.asarray(M, dtype=float))
-    if not np.all(np.isfinite(A)):
-        raise NumericalError("numerical_rank requires finite entries")
+    A = _finite(np.atleast_2d(np.asarray(M, dtype=float)), "numerical_rank")
     if A.size == 0:
         return 0
     s = np.linalg.svd(A, compute_uv=False)
@@ -142,9 +145,7 @@ def kernel_basis(M, tol: float = DEFAULT_TOL) -> KernelBasis:
 
     dim + numerical_rank always equals the number of columns.
     """
-    A = np.atleast_2d(np.asarray(M, dtype=float))
-    if not np.all(np.isfinite(A)):
-        raise NumericalError("kernel_basis requires finite entries")
+    A = _finite(np.atleast_2d(np.asarray(M, dtype=float)), "kernel_basis")
     ncols = A.shape[1]
     rank = numerical_rank(A, tol)
     _, _, Vh = np.linalg.svd(A, full_matrices=True)

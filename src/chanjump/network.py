@@ -76,8 +76,8 @@ class ChannelNetwork:
     Construction reads the channels as columns (from and to indices, rates,
     increment maps), validates them once, on the columns, and sets
     ``arrays``, the ChannelArrays built from the same columns.  Every
-    network is made here: ``load_network`` builds the channel objects from
-    the model file's columns and passes them in.
+    network is made here: ``load_network`` builds one channel object per
+    model-file entry and passes them in.
     """
 
     states: tuple[str, ...]
@@ -345,6 +345,14 @@ def finite_fsum(terms, what: str) -> float:
     return total
 
 
+def checked_vector(x, size: int, what: str, unit: str = "") -> np.ndarray:
+    """x as a float array of length size; a ValidationError naming ``what`` and both lengths otherwise."""
+    v = np.asarray(x, dtype=float)
+    if v.shape != (size,):
+        raise ValidationError(f"{what} has length {v.size}, expected {size}{unit}")
+    return v
+
+
 def _object_columns(channels: Sequence[TransitionChannel]) -> tuple[list, list, list, list]:
     """Channel objects as columns: from and to indices, rates, increment maps."""
     return tuple(
@@ -394,7 +402,7 @@ def _checked_arrays(states: tuple, records: tuple[str, ...], frm, to, rates, inc
             and np.isfinite(values).all()
         ):
             return ChannelArrays.from_columns(records, frm, to, rates, incs, values)  # KeyError: undeclared record
-    except (LookupError, TypeError, ValueError, OverflowError):
+    except (LookupError, TypeError, ValueError, OverflowError, AttributeError):
         pass
     _first_bad_channel(len(states), records, frm, to, rates, incs)
 
@@ -415,6 +423,8 @@ def _first_bad_channel(n: int, records: tuple[str, ...], frm, to, rates, incs) -
             raise ValidationError(f"channel {e}: rate is too large for a float") from None
         if not finite or rates[e] < 0:
             raise ValidationError(f"channel {e}: rate must be finite and >= 0, got {rates[e]!r}")
+        if not isinstance(increments, Mapping):
+            raise ValidationError(f"channel {e}: 'increments' must be an object")
         for key, val in increments.items():
             if key not in declared:
                 raise ValidationError(f"channel {e}: undeclared record {key!r}")
@@ -438,11 +448,10 @@ def load_network(document: str | bytes | dict) -> ChannelNetwork:
     with an energy-filtered dot description (levels/reservoirs/couplings)
     which is expanded into channels before validation.
 
-    The channel entries are read in one pass into columns, which checks
-    their types and names the first malformed entry.  The
-    ``TransitionChannel`` objects are built from the columns and the
-    ``ChannelNetwork`` constructor validates them once, on their column
-    view, with the same messages as a per-channel pass.
+    Each channel entry is checked once, in one pass that names the first
+    malformed entry, and becomes its ``TransitionChannel`` directly.  The
+    ``ChannelNetwork`` constructor validates the channels once, on their
+    column view, with the same messages as a per-channel pass.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -482,18 +491,15 @@ def load_network(document: str | bytes | dict) -> ChannelNetwork:
         raise ValidationError("a network needs at least 2 states")
     index = {name: i for i, name in enumerate(states)}
 
-    frm, to, rates, reservoirs, filters, incs = _entry_columns(entries, index)
-    channels = tuple(map(TransitionChannel, frm, to, reservoirs, rates, filters, incs))
-    return ChannelNetwork(states=states, channels=channels, records=records)
+    return ChannelNetwork(states=states, channels=_entry_channels(entries, index), records=records)
 
 
-def _entry_columns(entries: list, index: dict[str, int]) -> tuple:
-    """Columns of the channel entries, raising for the first malformed entry.
+def _entry_channels(entries: list, index: dict[str, int]) -> list[TransitionChannel]:
+    """One channel per entry, raising for the first malformed entry.
 
-    From and to indices, float rates, reservoir and filter labels, and the
-    increment maps as fresh dicts of floats.
+    Rates are floats and increment maps fresh dicts of floats.
     """
-    columns = tuple([] for _ in range(6))
+    channels = []
     for e, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValidationError(f"channel {e}: must be an object")
@@ -518,10 +524,10 @@ def _entry_columns(entries: list, index: dict[str, int]) -> tuple:
             incs = {str(k): float(v) for k, v in incs.items()}
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"channel {e}: increments must be numbers") from None
-        row = (index[frm], index[to], rate, str(entry.get("reservoir", "")), str(entry.get("filter", "")), incs)
-        for column, value in zip(columns, row):
-            column.append(value)
-    return columns
+        channels.append(TransitionChannel(
+            index[frm], index[to], str(entry.get("reservoir", "")), rate, str(entry.get("filter", "")), incs
+        ))
+    return channels
 
 
 def serialize_network(net: ChannelNetwork) -> str:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .network import ChannelNetwork, finite_fsum
+from .network import ChannelNetwork, checked_vector, finite_fsum
 
 __all__ = [
     "RecordInterval",
@@ -78,9 +78,7 @@ class HullSummand:
 
 
 def _check_probability(net: ChannelNetwork, p) -> np.ndarray:
-    pv = np.asarray(p, dtype=float)
-    if pv.shape != (net.n_states,):
-        raise ValidationError(f"probability vector has length {pv.size}, expected {net.n_states}")
+    pv = checked_vector(p, net.n_states, "probability vector")
     if not (pv.min() >= -1e-12 and abs(pv.sum() - 1.0) <= 1e-9):  # NaN and inf fail
         raise ValidationError("p must be a probability vector")
     return pv
@@ -156,11 +154,7 @@ def entropy_production(net: ChannelNetwork, p) -> EntropyReport:
 
 def _check_totals(net: ChannelNetwork, u) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
     transitions = net.transitions()
-    uv = np.asarray(u, dtype=float)
-    if uv.shape != (len(transitions),):
-        raise ValidationError(
-            f"u has length {uv.size}, expected {len(transitions)} transitions"
-        )
+    uv = checked_vector(u, len(transitions), "u", " transitions")
     if not (uv.min() >= 0 and uv.max() < math.inf):  # NaN fails the first test
         raise ValidationError("transition totals must be finite and nonnegative")
     return uv, transitions

@@ -1,0 +1,107 @@
+"""Shared input checks: vector lengths, finite matrices, increment maps.
+
+Every vector argument of the library goes through ``network.checked_vector``,
+so a wrong length raises one ValidationError that names the argument and both
+lengths.  The linalg entry points share one finite-entry check, and a
+directly built channel whose increments are not a mapping fails validation
+with the loader's message.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from chanjump import (
+    ChannelNetwork,
+    NumericalError,
+    TransitionChannel,
+    ValidationError,
+    build_dot,
+    dot_heat_bounds,
+    dot_totals,
+    entropy_production,
+    first_order_record_change,
+    kernel_basis,
+    load_network,
+    mean_record,
+    numerical_rank,
+    pseudo_inverse,
+    record_hull_summary,
+    record_interval,
+    tilted_null_variation,
+    twin_dot_spec,
+)
+
+# the twin dot: N = 2 states, E = 4 channels, E0 = 2 transitions
+SPEC = twin_dot_spec()
+THREE = [1 / 3] * 3
+
+CALLS = {
+    "mean_record": (
+        lambda net: mean_record(net, THREE, "heat_L"),
+        "probability vector has length 3, expected 2",
+    ),
+    "entropy_production": (
+        lambda net: entropy_production(net, THREE),
+        "probability vector has length 3, expected 2",
+    ),
+    "record_interval": (
+        lambda net: record_interval(net, [1.0, 1.0, 1.0], {"heat_total": 1.0}),
+        "u has length 3, expected 2 transitions",
+    ),
+    "record_hull_summary": (
+        lambda net: record_hull_summary(net, [1.0], ["heat_L"]),
+        "u has length 1, expected 2 transitions",
+    ),
+    "first_order_record_change/c": (
+        lambda net: first_order_record_change(net, np.zeros(3), net.stationary.p, "heat_L"),
+        "perturbation has length 3, expected 4 channels",
+    ),
+    "first_order_record_change/p": (
+        lambda net: first_order_record_change(net, np.zeros(4), THREE, "heat_L"),
+        "probability vector has length 3, expected 2",
+    ),
+    "tilted_null_variation": (
+        lambda net: tilted_null_variation(net, np.zeros(5), {"heat_L": 0.1}),
+        "perturbation has length 5, expected 4 channels",
+    ),
+    "dot_heat_bounds": (
+        lambda net: dot_heat_bounds(dot_totals(SPEC), THREE, SPEC, [["L"]], [["R"]]),
+        "probability vector has length 3, expected 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_a_wrong_length_vector_names_the_argument_and_both_lengths(name):
+    call, message = CALLS[name]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(build_dot(SPEC))
+
+
+@pytest.mark.parametrize("function", [pseudo_inverse, numerical_rank, kernel_basis])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_linalg_entry_points_refuse_non_finite_matrices(function, bad):
+    with pytest.raises(NumericalError, match=f"^{function.__name__} requires finite entries$"):
+        function([[1.0, 0.0], [bad, 1.0]])
+
+
+@pytest.mark.parametrize("increments", [None, [("x", 1.0)], "x1"], ids=["None", "pairs", "string"])
+def test_increments_that_are_not_a_mapping_are_a_validation_error(increments):
+    channels = (TransitionChannel(0, 1, "r", 1.0, increments=increments), TransitionChannel(1, 0, "r", 1.0))
+    with pytest.raises(ValidationError, match="^channel 0: 'increments' must be an object$"):
+        ChannelNetwork(("a", "b"), channels, ("x",))
+
+
+def test_the_loader_gives_the_same_message_for_increments_that_are_not_an_object():
+    doc = {
+        "states": ["a", "b"],
+        "records": ["x"],
+        "channels": [
+            {"from": "a", "to": "b", "reservoir": "r", "rate": 1.0, "increments": [["x", 1.0]]},
+            {"from": "b", "to": "a", "reservoir": "r", "rate": 1.0},
+        ],
+    }
+    with pytest.raises(ValidationError, match="^channel 0: 'increments' must be an object$"):
+        load_network(doc)

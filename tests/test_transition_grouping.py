@@ -44,7 +44,6 @@ from chanjump import (
     tilted_null_variation,
     velocity_only_kernel_dim,
 )
-from chanjump.completeness import _remaining_dim
 from chanjump.network import ChannelNetwork, TransitionChannel
 
 from conftest import random_network
@@ -131,7 +130,7 @@ def check_against_reference(net, rng):
     q = len(net.records)
     measured = build_record_map(net, list(rng.choice(net.records, size=int(rng.integers(0, q)), replace=False))).D
     K_rem = reference_remaining(net, measured)
-    assert remaining_kernel(net, measured).dim == K_rem.dim == _remaining_dim(net, measured)
+    assert remaining_kernel(net, measured).dim == K_rem.dim == e - e0 - completeness_test(net, measured).lost_rank
     # a target fixed by the measurement, and each declared record
     fixed = rng.standard_normal((1, len(measured))) @ measured + rng.standard_normal((1, e0)) @ P
     for Dt in [fixed] + [D[i:i + 1] for i in range(q)]:
@@ -233,9 +232,10 @@ def _with_channels(net, channels):
 def _observables(net):
     D = build_record_map(net, net.records)
     measured = build_record_map(net, net.records[:1])
+    e, e0 = channel_counts(net)
     return {
         "lost": completeness_test(net, D).lost_rank,
-        "remaining": _remaining_dim(net, measured),
+        "remaining": e - e0 - completeness_test(net, measured).lost_rank,
         "targets": [
             (v.complete, v.lost_rank)
             for v in (predictability_test(net, measured, build_record_map(net, [r]))
