@@ -78,7 +78,7 @@ class QuotientForm:
     R_inv_source: str
 
     def cost(self, u) -> float:
-        uv = np.asarray(u, dtype=float)
+        uv = checked_vector(u, len(self.Q), "u", " transitions")
         return 0.5 * float(uv @ self.Q @ uv)
 
 

@@ -6,10 +6,10 @@ gamma * f_r(eps_i) and a leaving channel with rate gamma * (1 - f_r(eps_i)),
 where f_r is the Fermi function of that reservoir.  Units: k_B = 1, energies
 and temperatures share one arbitrary unit, rates are 1/time.
 
-Record conventions (per reservoir r): ``heat_r`` counts heat entering r, so
-an electron entering the dot carries -(eps_i - mu_r) and a leaving one
-+(eps_i - mu_r); ``charge_r`` counts electrons gained by r (-1 entering the
-dot, +1 leaving); ``heat_total`` sums the per-reservoir heat.
+Record conventions (per reservoir r): an electron tunnelling with sign -1
+(into the dot) or +1 (out of it) adds sign * (eps_i - mu_r) to ``heat_r``,
+the heat entering r, and sign to ``charge_r``, the electrons gained by r;
+``heat_total`` sums the per-reservoir heat.
 
 The state dynamics of the dot depends only on the per-level totals of the
 entering and leaving rates, which is why ``make_twin`` can shift rate
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -141,31 +140,14 @@ def build_dot(spec: DotSpec) -> ChannelNetwork:
     )
     channels: list[TransitionChannel] = []
     for i, eps in enumerate(spec.levels):
-        contacts = _level_contacts(spec, i)
-        for res, lam, g in contacts:
-            q = eps - res.mu
-            channels.append(
-                TransitionChannel(
-                    from_state=0,
-                    to_state=i + 1,
-                    reservoir=res.name,
-                    rate=g * fermi(eps, res.mu, res.temperature),
-                    filter=lam,
-                    increments={f"heat_{res.name}": -q, f"charge_{res.name}": -1.0, "heat_total": -q},
-                )
-            )
-        for res, lam, g in contacts:
-            q = eps - res.mu
-            channels.append(
-                TransitionChannel(
-                    from_state=i + 1,
-                    to_state=0,
-                    reservoir=res.name,
-                    rate=g * (1.0 - fermi(eps, res.mu, res.temperature)),
-                    filter=lam,
-                    increments={f"heat_{res.name}": q, f"charge_{res.name}": 1.0, "heat_total": q},
-                )
-            )
+        contacts = [(res, lam, g, fermi(eps, res.mu, res.temperature))
+                    for res, lam, g in _level_contacts(spec, i)]
+        for frm, to, sign in ((0, i + 1, -1.0), (i + 1, 0, 1.0)):
+            for res, lam, g, f in contacts:
+                q = sign * (eps - res.mu)
+                rate = g * (f if sign < 0 else 1.0 - f)
+                incs = {f"heat_{res.name}": q, f"charge_{res.name}": sign, "heat_total": q}
+                channels.append(TransitionChannel(frm, to, res.name, rate, lam, incs))
     return ChannelNetwork(states=states, channels=tuple(channels), records=records)
 
 
@@ -209,17 +191,17 @@ def _rebalanced_rates(rates: Sequence[float], er: int, es: int, eta: float) -> t
     correctly rounded total over ``rates`` is bitwise unchanged.
 
     The ideal shifted pair rarely preserves the rounded total exactly, so the
-    losing rate is recentered on the exact rational target and nudged by at
-    most a couple of ulps; the deviation from rates[es] - eta is below
-    roundoff of the total.
+    losing rate is recentered on the ``fsum`` of total - others - a2 and
+    nudged by at most a couple of ulps; the deviation from rates[es] - eta is
+    below roundoff of the total.
     """
     total = math.fsum(rates)
-    others = sum((Fraction(r) for k, r in enumerate(rates) if k not in (er, es)), Fraction(0))
+    rest = [-r for k, r in enumerate(rates) if k not in (er, es)]
     a2_seed = rates[er] + eta
     for a2 in (a2_seed, math.nextafter(a2_seed, math.inf), math.nextafter(a2_seed, -math.inf)):
         if a2 < 0:
             continue
-        center = float(Fraction(total) - others - Fraction(a2))
+        center = math.fsum([total, -a2, *rest])
         candidates = [center]
         up = down = center
         for _ in range(3):
@@ -287,17 +269,18 @@ def dot_heat_bounds(
 ) -> tuple[tuple[RecordInterval, RecordInterval], ...]:
     """Per-level intervals for the entering and leaving heat contributions.
 
-    Only the totals and the candidate reservoir sets are used: the entering
-    contribution lies between -p0 Gamma+ max(q) and -p0 Gamma+ min(q) with
-    q = eps_i - mu_r over the allowed reservoirs, and correspondingly for
-    leaving.  Tight labels name the reservoirs attaining each endpoint.
+    Only the totals and the candidate reservoir sets are used: each side's
+    contribution lies between base * min(s) and base * max(s), with s the
+    signed heat increment sign * (eps_i - mu_r) over the allowed reservoirs
+    (entering: sign -1, base p0 Gamma+; leaving: sign +1, base p_i Gamma-).
+    Tight labels name the first reservoirs attaining each endpoint.
     """
     n = len(spec.levels)
     pv = checked_vector(p, n + 1, "probability vector")
     if len(allowed_in) != n or len(allowed_out) != n:
         raise ValidationError("allowed reservoir sets must be given per level")
 
-    def extremes(i: int, names: Sequence[str]) -> tuple[float, str, float, str]:
+    def extremes(i: int, names: Sequence[str], sign: float) -> tuple[tuple[float, str], tuple[float, str]]:
         if not names:
             raise ValidationError(f"empty allowed reservoir set for level {i}")
         order = [r.name for r in spec.reservoirs]
@@ -305,30 +288,25 @@ def dot_heat_bounds(
             if nm not in order:
                 raise ValidationError(f"unknown reservoir {nm!r} in allowed set")
         ranked = sorted(set(names), key=order.index)
-        qs = [(spec.levels[i] - spec.reservoir(nm).mu, nm) for nm in ranked]
-        qmin, rmin = min(qs, key=lambda t: t[0])
-        qmax, rmax = max(qs, key=lambda t: t[0])
-        return qmin, rmin, qmax, rmax
+        qs = [(sign * (spec.levels[i] - spec.reservoir(nm).mu), nm) for nm in ranked]
+        return min(qs, key=lambda t: t[0]), max(qs, key=lambda t: t[0])
 
     out = []
     for i in range(n):
-        qmin_in, rmin_in, qmax_in, rmax_in = extremes(i, allowed_in[i])
-        base_in = totals.gamma_plus[i] * pv[0]
-        entering = RecordInterval(
-            lo=base_in * (-qmax_in),
-            hi=base_in * (-qmin_in),
-            direction={"heat_total": 1.0},
-            tight_channels=(((0, i + 1), rmax_in, rmin_in),),
-        )
-        qmin_out, rmin_out, qmax_out, rmax_out = extremes(i, allowed_out[i])
-        base_out = totals.gamma_minus[i] * pv[i + 1]
-        leaving = RecordInterval(
-            lo=base_out * qmin_out,
-            hi=base_out * qmax_out,
-            direction={"heat_total": 1.0},
-            tight_channels=(((i + 1, 0), rmin_out, rmax_out),),
-        )
-        out.append((entering, leaving))
+        sides = []
+        for frm, to, sign, allowed, gamma, pk in (
+            (0, i + 1, -1.0, allowed_in[i], totals.gamma_plus[i], pv[0]),
+            (i + 1, 0, 1.0, allowed_out[i], totals.gamma_minus[i], pv[i + 1]),
+        ):
+            (q_lo, r_lo), (q_hi, r_hi) = extremes(i, allowed, sign)
+            base = gamma * pk
+            sides.append(RecordInterval(
+                lo=base * q_lo,
+                hi=base * q_hi,
+                direction={"heat_total": 1.0},
+                tight_channels=(((frm, to), r_lo, r_hi),),
+            ))
+        out.append(tuple(sides))
     return tuple(out)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonErgodicError, NumericalError
-from .network import StateGenerator
+from .network import StateGenerator, checked_vector
 
 __all__ = [
     "DEFAULT_TOL",
@@ -99,7 +99,7 @@ def drazin_inverse(L, p: StationaryState | np.ndarray | None = None) -> np.ndarr
     n = M.shape[0]
     if p is None:
         p = stationary_state(M)
-    pv = p.p if isinstance(p, StationaryState) else np.asarray(p, dtype=float)
+    pv = p.p if isinstance(p, StationaryState) else checked_vector(p, n, "probability vector")
     bordered = np.zeros((n + 1, n + 1))
     bordered[:n, :n] = M
     bordered[:n, n] = pv

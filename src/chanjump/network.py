@@ -346,9 +346,14 @@ def finite_fsum(terms, what: str) -> float:
 
 
 def checked_vector(x, size: int, what: str, unit: str = "") -> np.ndarray:
-    """x as a float array of length size; a ValidationError naming ``what`` and both lengths otherwise."""
-    v = np.asarray(x, dtype=float)
-    if v.shape != (size,):
+    """x as a float array of length size; a ValidationError naming ``what`` (and both lengths) otherwise."""
+    try:
+        v = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not numbers, ragged, or an int past the largest double
+        v = None
+    if v is None or v.ndim != 1:
+        raise ValidationError(f"{what} must be a flat list of numbers")
+    if v.size != size:
         raise ValidationError(f"{what} has length {v.size}, expected {size}{unit}")
     return v
 

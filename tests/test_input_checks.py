@@ -2,7 +2,8 @@
 
 Every vector argument of the library goes through ``network.checked_vector``,
 so a wrong length raises one ValidationError that names the argument and both
-lengths.  The linalg entry points share one finite-entry check, and a
+lengths, and anything that is not a flat list of numbers one that names the
+argument.  The linalg entry points share one finite-entry check, and a
 directly built channel whose increments are not a mapping fails validation
 with the loader's message.
 """
@@ -20,6 +21,7 @@ from chanjump import (
     build_dot,
     dot_heat_bounds,
     dot_totals,
+    drazin_inverse,
     entropy_production,
     first_order_record_change,
     kernel_basis,
@@ -27,6 +29,7 @@ from chanjump import (
     mean_record,
     numerical_rank,
     pseudo_inverse,
+    quotient_form,
     record_hull_summary,
     record_interval,
     tilted_null_variation,
@@ -68,6 +71,34 @@ CALLS = {
     ),
     "dot_heat_bounds": (
         lambda net: dot_heat_bounds(dot_totals(SPEC), THREE, SPEC, [["L"]], [["R"]]),
+        "probability vector has length 3, expected 2",
+    ),
+    "mean_record/strings": (
+        lambda net: mean_record(net, ["a", "b"], "heat_L"),
+        "probability vector must be a flat list of numbers",
+    ),
+    "mean_record/ragged": (
+        lambda net: mean_record(net, [[0.5], [0.5, 0.0]], "heat_L"),
+        "probability vector must be a flat list of numbers",
+    ),
+    "mean_record/2-D": (
+        lambda net: mean_record(net, [[0.5], [0.5]], "heat_L"),
+        "probability vector must be a flat list of numbers",
+    ),
+    "mean_record/int past the largest double": (
+        lambda net: mean_record(net, [10**400, 0], "heat_L"),
+        "probability vector must be a flat list of numbers",
+    ),
+    "quotient_form.cost": (
+        lambda net: quotient_form(net).cost([1.0, 2.0, 3.0]),
+        "u has length 3, expected 2 transitions",
+    ),
+    "drazin_inverse/short": (
+        lambda net: drazin_inverse(net.generator, [0.5]),
+        "probability vector has length 1, expected 2",
+    ),
+    "drazin_inverse/long": (
+        lambda net: drazin_inverse(net.generator, THREE),
         "probability vector has length 3, expected 2",
     ),
 }
