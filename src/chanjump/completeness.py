@@ -25,14 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .linalg import DEFAULT_TOL, KernelBasis, numerical_rank
+from .linalg import DEFAULT_TOL, KernelBasis
 from .network import (
     ChannelArrays,
     ChannelNetwork,
     RecordMap,
-    build_projection,
     channel_counts,
     checked_vector,
+    graph_walk,
 )
 from .records import stationary_transition_totals
 
@@ -270,6 +270,11 @@ def velocity_only_kernel_dim(net: ChannelNetwork, tol: float = DEFAULT_TOL) -> i
     Informational count only.  Knowing just an instantaneous state velocity
     (instead of the full generator) additionally hides closed loops through
     the transition network; this reports the combined dimension.  P has
-    full row rank, so this is E - rank(B) on the N x E0 incidence matrix B.
+    full row rank, so this is E - rank(B) for the N x E0 incidence matrix B,
+    and rank(B) is N minus the number of connected components of the
+    undirected transition graph, isolated states included.  The count is
+    exact, read off the graph; ``tol`` is unused.
     """
-    return net.n_channels - numerical_rank(build_projection(net).B, tol)
+    frm, to = net.arrays.pairs.T
+    components = len(set(graph_walk(net.n_states, np.concatenate([frm, to]), np.concatenate([to, frm]))))
+    return net.n_channels - net.n_states + components

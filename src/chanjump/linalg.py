@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonErgodicError, NumericalError
-from .network import StateGenerator, checked_vector
+from .errors import NonErgodicError, NumericalError, ValidationError
+from .network import StateGenerator, checked_probability
 
 __all__ = [
     "DEFAULT_TOL",
@@ -93,13 +93,17 @@ def drazin_inverse(L, p: StationaryState | np.ndarray | None = None) -> np.ndarr
     R satisfies L R = R L = I - p 1^T, R p = 0 and 1^T R = 0.  Computed by
     solving the bordered system [[L, p], [1^T, 0]] [R; y] = [I - p 1^T; 0]
     column by column; for an ergodic generator the bordered matrix is
-    nonsingular, so no eigendecomposition is needed.
+    nonsingular, so no eigendecomposition is needed.  A p that is not a
+    probability vector, or with |L p| past 1e-9 max|L| in some entry, is a
+    ValidationError.
     """
     M = _as_matrix(L)
     n = M.shape[0]
     if p is None:
         p = stationary_state(M)
-    pv = p.p if isinstance(p, StationaryState) else checked_vector(p, n, "probability vector")
+    pv = checked_probability(p.p if isinstance(p, StationaryState) else p, n)
+    if np.abs(M @ pv).max() > 1e-9 * np.abs(M).max():
+        raise ValidationError("p is not the stationary state of L")
     bordered = np.zeros((n + 1, n + 1))
     bordered[:n, :n] = M
     bordered[:n, n] = pv

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .fcs import CumulantReport
-from .network import ChannelNetwork, finite_fsum
+from .network import ChannelNetwork, finite_fsum, graph_walk
 
 __all__ = ["SimConfig", "TrajectoryStats", "simulate", "empirical_cumulants"]
 
@@ -388,31 +388,6 @@ class _Tally:
             self.dump.write("".join(f"{t!r},{e},{s}\n" for t, e, s in lines))
 
 
-def _strongly_connected(net: ChannelNetwork) -> bool:
-    """Is every state reachable from every other along positive-rate channels?"""
-    arrays = net.arrays
-    live = arrays.rate > 0
-    src, dst = arrays.from_state[live], arrays.to_state[live]
-    return _reaches_all(src, dst, net.n_states) and _reaches_all(dst, src, net.n_states)
-
-
-def _reaches_all(src: np.ndarray, dst: np.ndarray, n: int) -> bool:
-    """Does every state lie on a path from state 0 along the edges src -> dst?"""
-    order = np.argsort(src, kind="stable")
-    heads = dst[order].tolist()
-    first = np.searchsorted(src[order], np.arange(n + 1)).tolist()
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        s = stack.pop()
-        for t in heads[first[s]:first[s + 1]]:
-            if not seen[t]:
-                seen[t] = True
-                stack.append(t)
-    return all(seen)
-
-
 def _initial_sampler(net: ChannelNetwork, cfg: SimConfig):
     if isinstance(cfg.initial, (int, np.integer)):
         idx = int(cfg.initial)
@@ -480,7 +455,9 @@ def simulate(net: ChannelNetwork, cfg: SimConfig, dump: IO[str] | None = None) -
     """
     table = _ChannelTable(net)
     table.compose(_check_expected_jumps(net, cfg, table.escape))
-    if not _strongly_connected(net):
+    live = net.arrays.rate > 0
+    src, dst = net.arrays.from_state[live], net.arrays.to_state[live]
+    if -1 in graph_walk(net.n_states, src, dst, [0]) + graph_walk(net.n_states, dst, src, [0]):
         warnings.warn("simulating a non-ergodic network", stacklevel=2)
     fixed_initial, init_cum = _initial_sampler(net, cfg)
     rate = _jump_rate(net, table.escape)  # sizes each walk's first chunk

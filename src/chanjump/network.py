@@ -358,6 +358,40 @@ def checked_vector(x, size: int, what: str, unit: str = "") -> np.ndarray:
     return v
 
 
+def checked_probability(p, size: int) -> np.ndarray:
+    """p as a float array of length size; a ValidationError unless it is a probability vector.
+
+    Entries may fall below 0 by 1e-12 and the sum may miss 1 by 1e-9.
+    """
+    pv = checked_vector(p, size, "probability vector")
+    if not (pv.min() >= -1e-12 and abs(pv.sum() - 1.0) <= 1e-9):  # NaN and inf fail
+        raise ValidationError("p must be a probability vector")
+    return pv
+
+
+def graph_walk(n: int, src: np.ndarray, dst: np.ndarray, roots=None) -> list[int]:
+    """Label each of n states with the first root whose walk along the edges src -> dst reaches it; -1 if none.
+
+    Roots default to every state, in order; with every edge given both ways, the labels are the components.
+    """
+    order = np.argsort(src, kind="stable")
+    heads = dst[order].tolist()
+    first = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+    label = [-1] * n
+    for root in range(n) if roots is None else roots:
+        if label[root] >= 0:
+            continue
+        label[root] = root
+        stack = [root]
+        while stack:
+            s = stack.pop()
+            for t in heads[first[s]:first[s + 1]]:
+                if label[t] < 0:
+                    label[t] = root
+                    stack.append(t)
+    return label
+
+
 def _object_columns(channels: Sequence[TransitionChannel]) -> tuple[list, list, list, list]:
     """Channel objects as columns: from and to indices, rates, increment maps."""
     return tuple(
@@ -366,9 +400,22 @@ def _object_columns(channels: Sequence[TransitionChannel]) -> tuple[list, list, 
     )
 
 
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)  # float() reads them, but an increment must be a number
+
+
+def _number(value) -> float:
+    """float(value); a TypeError for the _NOT_NUMBERS types."""
+    if isinstance(value, _NOT_NUMBERS):
+        raise TypeError("not a number")
+    return float(value)
+
+
 def _flat_values(incs: Sequence[Mapping]) -> np.ndarray:
-    """The values of every increment map, map after map, as one float array."""
-    return np.fromiter(chain.from_iterable(map(operator.methodcaller("values"), incs)), float)
+    """The values of every increment map, map after map, as one float array; a TypeError for a _NOT_NUMBERS one."""
+    values = list(chain.from_iterable(map(operator.methodcaller("values"), incs)))
+    if any(map(issubclass, set(map(type, values)), repeat(_NOT_NUMBERS))):
+        raise TypeError("not a number")
+    return np.fromiter(values, float, len(values))
 
 
 _INDEX_TYPES = (int, np.integer)  # a state index is a Python or a numpy integer
@@ -434,7 +481,7 @@ def _first_bad_channel(n: int, records: tuple[str, ...], frm, to, rates, incs) -
             if key not in declared:
                 raise ValidationError(f"channel {e}: undeclared record {key!r}")
             try:
-                val = float(val)
+                val = _number(val)
             except (TypeError, ValueError, OverflowError):
                 raise ValidationError(f"channel {e}: increments must be numbers") from None
             if not math.isfinite(val):
@@ -526,7 +573,7 @@ def _entry_channels(entries: list, index: dict[str, int]) -> list[TransitionChan
         if not isinstance(incs, dict):
             raise ValidationError(f"channel {e}: 'increments' must be an object")
         try:
-            incs = {str(k): float(v) for k, v in incs.items()}
+            incs = {str(k): _number(v) for k, v in incs.items()}
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"channel {e}: increments must be numbers") from None
         channels.append(TransitionChannel(

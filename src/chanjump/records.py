@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ValidationError
-from .network import ChannelNetwork, checked_vector, finite_fsum
+from .network import ChannelNetwork, checked_probability, checked_vector, finite_fsum
 
 __all__ = [
     "RecordInterval",
@@ -77,46 +78,33 @@ class HullSummand:
     points: tuple[tuple[float, ...], ...]
 
 
-def _check_probability(net: ChannelNetwork, p) -> np.ndarray:
-    pv = checked_vector(p, net.n_states, "probability vector")
-    if not (pv.min() >= -1e-12 and abs(pv.sum() - 1.0) <= 1e-9):  # NaN and inf fail
-        raise ValidationError("p must be a probability vector")
-    return pv
-
-
 def mean_record(net: ChannelNetwork, p, mu: str) -> float:
     """Mean rate of record mu at occupation p: sum_e d_e rate_e p_from(e)."""
     (row,) = net.record_rows([mu])
-    pv = _check_probability(net, p)
+    pv = checked_probability(p, net.n_states)
     a = net.arrays
     return finite_fsum(a.increments[row] * a.rate * pv[a.from_state], f"the mean of record {mu!r}")
 
 
-def _flux_pairs(net: ChannelNetwork, pv: np.ndarray):
-    """Conjugate channel flux pairs (label, forward flux, backward flux).
+def _conjugate_fluxes(entries, pv: np.ndarray):
+    """Conjugate flux pairs (key, forward flux, backward flux) of (label, from, to, rate) entries.
 
-    Channels are grouped by (reservoir, filter, state pair); duplicate
-    conjugate candidates are summed into one effective pair.  Raises when a
-    positive rate channel has no structurally declared reverse partner.
+    Entries are grouped by key = (*label, lo, hi), in first-appearance order,
+    and each direction's fluxes rate * p_from are summed exactly.  A group
+    with positive rate one way and no entry the other way is a ValidationError.
     """
-    a = net.arrays
     groups: dict[tuple, tuple[list[float], list[float]]] = {}
-    # state indices and rates as Python ints and floats, whatever types the channels hold
-    for ch, frm, to, rate in zip(net.channels, a.from_state.tolist(), a.to_state.tolist(), a.rate.tolist()):
-        lo, hi = sorted((frm, to))
-        groups.setdefault((ch.reservoir, ch.filter, lo, hi), ([], []))[frm == hi].append(rate)
+    for label, frm, to, rate in entries:
+        key = (*label, frm, to) if frm < to else (*label, to, frm)
+        groups.setdefault(key, ([], []))[frm > to].append(rate)
+    p = pv.tolist()
     for key, (fwd, bwd) in groups.items():
         if not bwd and any(r > 0 for r in fwd):
             raise ValidationError(f"channel group {key} has no reverse partner")
         if not fwd and any(r > 0 for r in bwd):
             raise ValidationError(f"channel group {key} has no forward partner")
         lo, hi = key[-2:]
-        yield key, finite_fsum((r * pv[lo] for r in fwd), "a flux"), finite_fsum((r * pv[hi] for r in bwd), "a flux")
-
-
-def _transition_currents(net: ChannelNetwork, pv: np.ndarray) -> np.ndarray:
-    frm, to = net.arrays.pairs.T
-    return net.generator.matrix[to, frm] * pv[frm]
+        yield key, finite_fsum(map(p[lo].__mul__, fwd), "a flux"), finite_fsum(map(p[hi].__mul__, bwd), "a flux")
 
 
 def _sigma(pairs) -> tuple[float, list]:
@@ -138,12 +126,16 @@ def _sigma(pairs) -> tuple[float, list]:
 
 def entropy_production(net: ChannelNetwork, p) -> EntropyReport:
     """Entropy production rate at occupation p; ``coarse`` reads the generator's currents alone."""
-    pv = _check_probability(net, p)
-    resolved, inf_res = _sigma(_flux_pairs(net, pv))
-    currents: dict[tuple[int, int], list[float]] = {}
-    for (i, j), flux in zip(net.arrays.pairs.tolist(), _transition_currents(net, pv).tolist()):
-        currents.setdefault((min(i, j), max(i, j)), [0.0, 0.0])[i > j] = flux
-    coarse, inf_coarse = _sigma((key, *fb) for key, fb in currents.items())
+    pv = checked_probability(p, net.n_states)
+    a = net.arrays
+    # state indices and rates as Python ints and floats, whatever types the channels hold
+    labels = [(ch.reservoir, ch.filter) for ch in net.channels]
+    channels = zip(labels, a.from_state.tolist(), a.to_state.tolist(), a.rate.tolist())
+    resolved, inf_res = _sigma(_conjugate_fluxes(channels, pv))
+    # a transition with positive total and no reverse has a channel group without a partner, refused above
+    frm, to = a.pairs.T
+    transitions = zip(repeat(()), frm.tolist(), to.tolist(), net.generator.matrix[to, frm].tolist())
+    coarse, inf_coarse = _sigma(_conjugate_fluxes(transitions, pv))
     bits = ["pairing: (reservoir, filter) with reversed transition"]
     if inf_res:
         bits.append(f"unidirectional resolved pairs: {inf_res}")
@@ -200,6 +192,7 @@ def record_hull_summary(net: ChannelNetwork, u, selected) -> tuple[HullSummand, 
 
 def stationary_transition_totals(net: ChannelNetwork) -> np.ndarray:
     """Stationary ordered-transition currents u_t = W_t p_from, read off the generator alone."""
-    u = _transition_currents(net, net.stationary.p)
+    frm, to = net.arrays.pairs.T
+    u = net.generator.matrix[to, frm] * net.stationary.p[frm]
     u.flags.writeable = False
     return u

@@ -5,10 +5,14 @@ so a wrong length raises one ValidationError that names the argument and both
 lengths, and anything that is not a flat list of numbers one that names the
 argument.  The linalg entry points share one finite-entry check, and a
 directly built channel whose increments are not a mapping fails validation
-with the loader's message.
+with the loader's message.  Increment values that float() reads but that are
+not numbers (strings, bools) are refused on both paths, and the Drazin
+inverse refuses a p that is not the generator's stationary state.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from chanjump import (
     ValidationError,
     build_dot,
     dot_heat_bounds,
+    dot_stationary,
     dot_totals,
     drazin_inverse,
     entropy_production,
@@ -136,3 +141,44 @@ def test_the_loader_gives_the_same_message_for_increments_that_are_not_an_object
     }
     with pytest.raises(ValidationError, match="^channel 0: 'increments' must be an object$"):
         load_network(doc)
+
+
+@pytest.mark.parametrize("value", ["1", "2.5", True, False])
+def test_increments_that_are_strings_or_bools_are_refused(value):
+    doc = {
+        "states": ["a", "b"],
+        "records": ["x"],
+        "channels": [
+            {"from": "a", "to": "b", "reservoir": "r", "rate": 1.0, "increments": {"x": 1.0}},
+            {"from": "b", "to": "a", "reservoir": "r", "rate": 1.0, "increments": {"x": value}},
+        ],
+    }
+    for document in (doc, json.dumps(doc)):
+        with pytest.raises(ValidationError, match="^channel 1: increments must be numbers$"):
+            load_network(document)
+    channels = (
+        TransitionChannel(0, 1, "r", 1.0, increments={"x": 1.0}),
+        TransitionChannel(1, 0, "r", 1.0, increments={"x": value}),
+    )
+    with pytest.raises(ValidationError, match="^channel 1: increments must be numbers$"):
+        ChannelNetwork(("a", "b"), channels, ("x",))
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        ([0.5, 0.5], "p is not the stationary state of L"),
+        ([2.0, -1.0], "p must be a probability vector"),
+        ([np.nan, 0.5], "p must be a probability vector"),
+    ],
+)
+def test_drazin_inverse_refuses_a_p_that_is_not_stationary(p, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        drazin_inverse(build_dot(SPEC).generator, p)
+
+
+def test_drazin_inverse_accepts_the_stationary_state():
+    net = build_dot(SPEC)
+    for p in (net.stationary.p, dot_stationary(dot_totals(SPEC))):
+        R = drazin_inverse(net.generator, p)
+        assert np.abs(net.generator.matrix @ R - (np.eye(2) - np.outer(p, np.ones(2)))).max() < 1e-12

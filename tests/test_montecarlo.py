@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,36 @@ def test_zero_rate_network_flags_immediately():
     with pytest.warns(UserWarning):
         stats = simulate(net, SimConfig(n_trajectories=3, seed=2, t_max=5.0, initial=0))
     assert all(st.absorbed and st.n_jumps == 0 for st in stats)
+
+
+def _strongly_connected_by_closure(net) -> bool:
+    """Dense boolean transitive closure (Warshall) over the positive-rate channels."""
+    reach = np.eye(net.n_states, dtype=bool)
+    for ch in net.channels:
+        if ch.rate > 0:
+            reach[ch.from_state, ch.to_state] = True
+    for k in range(net.n_states):
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+    return bool(reach.all())
+
+
+def test_the_ergodicity_warning_matches_the_transitive_closure():
+    rng = np.random.default_rng(31)
+    verdicts = []
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        channels = []
+        for _ in range(int(rng.integers(1, 5 * n))):
+            i, j = (int(s) for s in rng.choice(n, size=2, replace=False))
+            channels.append((i, j, "r", 0.0 if rng.random() < 0.3 else float(rng.random() + 0.05)))
+        net = make_network([f"s{k}" for k in range(n)], channels, [])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            simulate(net, SimConfig(n_trajectories=1, seed=0, max_jumps=1, initial=0))
+        warned = any("non-ergodic" in str(w.message) for w in caught)
+        assert warned != _strongly_connected_by_closure(net)
+        verdicts.append(warned)
+    assert 60 <= sum(verdicts) <= 240, sum(verdicts)
 
 
 def test_disconnected_network_needs_explicit_initial():

@@ -177,22 +177,29 @@ def _reference_entropy(net, pv):
 
 
 def _labelled_network(rng, paired: bool):
-    """Random channels with filters, duplicate conjugates and zero rates."""
+    """Random channels with several filters, duplicate conjugates and zero rates.
+
+    Unless paired, a group may lack one direction, and one-way channels of
+    rate 0, which need no partner, are added.
+    """
     n = int(rng.integers(2, 6))
     channels = []
     for _ in range(int(rng.integers(1, 3 * n))):
         i, j = (int(s) for s in rng.choice(n, size=2, replace=False))
-        res, filt = f"r{rng.integers(0, 2)}", ("", "f")[int(rng.integers(0, 2))]
+        res, filt = f"r{rng.integers(0, 2)}", ("", "f", "g")[int(rng.integers(0, 3))]
         for frm, to in ((i, j), (j, i)) if paired or rng.random() < 0.7 else ((i, j),):
             for _ in range(int(rng.integers(1, 3))):
                 rate = 0.0 if rng.random() < 0.15 else float(rng.random() + 0.05)
                 channels.append((frm, to, res, rate, filt, {}))
+    for _ in range(0 if paired else int(rng.integers(0, 3))):
+        i, j = (int(s) for s in rng.choice(n, size=2, replace=False))
+        channels.append((i, j, "idle", 0.0, ("", "f", "g")[int(rng.integers(0, 3))], {}))
     return make_network([f"s{k}" for k in range(n)], channels, ["x"])
 
 
 def test_entropy_matches_the_channel_summing_reference():
     rng = np.random.default_rng(4242)
-    outcomes = {"value": 0, "error": 0, "infinite": 0}
+    outcomes = {"value": 0, "no reverse partner": 0, "no forward partner": 0, "infinite": 0}
     for k in range(300):
         net = _labelled_network(rng, paired=k % 2 == 0)
         p = rng.random(net.n_states) * (rng.random(net.n_states) < 0.8)
@@ -208,7 +215,7 @@ def test_entropy_matches_the_channel_summing_reference():
                 assert str(new) == str(exc)
             else:
                 raise AssertionError(f"no error, expected {exc}")
-            outcomes["error"] += 1
+            outcomes[str(exc).split(" has ")[1]] += 1
             continue
         rep = entropy_production(net, p)
         assert rep.resolved == resolved and rep.note == note

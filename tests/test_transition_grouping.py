@@ -20,6 +20,7 @@ import math
 
 from chanjump import (
     DEFAULT_TOL,
+    ValidationError,
     build_generator,
     build_projection,
     build_record_map,
@@ -32,6 +33,7 @@ from chanjump import (
     mean_currents,
     mean_record,
     noise_matrix,
+    numerical_rank,
     predictability_test,
     quotient_form,
     record_hull_summary,
@@ -149,7 +151,14 @@ def check_against_reference(net, rng):
             w = rinv
         Q = np.linalg.pinv((P * w) @ P.T, rcond=DEFAULT_TOL)
         assert close(quotient_form(net, rinv).Q, 0.5 * (Q + Q.T))
-    assert velocity_only_kernel_dim(net) == kernel_basis(build_projection(net).B @ P).dim
+    check_velocity_only_dim(net)
+
+
+def check_velocity_only_dim(net):
+    """The graph count against the SVD counts of the dense incidence matrix B and of BP."""
+    pair = build_projection(net)
+    expected = net.n_channels - numerical_rank(pair.B)
+    assert velocity_only_kernel_dim(net) == expected == kernel_basis(pair.B @ pair.P).dim
 
 
 def test_grouping_matches_dense_reference_random_networks():
@@ -157,6 +166,25 @@ def test_grouping_matches_dense_reference_random_networks():
     for _ in range(120):
         net = random_network(rng, n_records=int(rng.integers(1, 5)))
         check_against_reference(net, rng)
+
+
+def test_velocity_only_dim_counts_components_of_disconnected_networks():
+    # without the ring a random network is often disconnected; appended
+    # states with no channel are components of their own
+    rng = np.random.default_rng(2027)
+    components = set()
+    checked = 0
+    while checked < 240:
+        try:
+            net = random_network(rng, n_states=int(rng.integers(2, 9)), max_parallel=3, ergodic=False)
+        except ValidationError:  # no channel drawn
+            continue
+        extra = tuple(f"isolated{k}" for k in range(int(rng.integers(0, 3))))
+        net = ChannelNetwork(states=net.states + extra, channels=net.channels, records=net.records)
+        check_velocity_only_dim(net)
+        components.add(velocity_only_kernel_dim(net) - net.n_channels + net.n_states)
+        checked += 1
+    assert len(components) >= 4, components
 
 
 def test_grouping_matches_dense_reference_twin_dot(twin_net):
