@@ -84,13 +84,18 @@ class CumulantReport:
 def _tilt_factors(exponents: np.ndarray) -> np.ndarray:
     """exp(chi . d) for an array of exponents, refusing exponents that overflow.
 
-    math.exp, not np.exp: the two differ in the last bit on some machines.
+    One elementwise np.exp, for a stencil chunk of ``cumulants_fd`` as for
+    the one point of ``scgf``; every stencil point stays bitwise ``scgf``
+    because np.exp gives an element the same bits whatever array holds it
+    (contiguous, strided or single, checked on x86-64 with AVX-512).  np.exp
+    differs from math.exp in the last bit on some inputs, and its bits may
+    depend on the SIMD support of the CPU.
     """
     flat = exponents.ravel()
     over = np.flatnonzero(flat > _MAX_EXPONENT)
     if over.size:
         raise NumericalError(f"counting-field exponent {float(flat[over[0]]):g} overflows; use smaller fields")
-    return np.fromiter(map(math.exp, flat.tolist()), float, flat.size).reshape(exponents.shape)
+    return np.exp(exponents)
 
 
 def _exponents(net: ChannelNetwork, chi: Mapping[str, float]) -> np.ndarray:

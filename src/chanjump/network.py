@@ -400,7 +400,7 @@ def _object_columns(channels: Sequence[TransitionChannel]) -> tuple[list, list, 
     )
 
 
-_NOT_NUMBERS = (str, bytes, bool, np.bool_)  # float() reads them, but an increment must be a number
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)  # float() reads them, but a rate or an increment must be a number
 
 
 def _number(value) -> float:
@@ -410,10 +410,15 @@ def _number(value) -> float:
     return float(value)
 
 
+def _all_numbers(values) -> bool:
+    """Whether no value is of a _NOT_NUMBERS type, with one type test per distinct type."""
+    return not any(map(issubclass, set(map(type, values)), repeat(_NOT_NUMBERS)))
+
+
 def _flat_values(incs: Sequence[Mapping]) -> np.ndarray:
     """The values of every increment map, map after map, as one float array; a TypeError for a _NOT_NUMBERS one."""
     values = list(chain.from_iterable(map(operator.methodcaller("values"), incs)))
-    if any(map(issubclass, set(map(type, values)), repeat(_NOT_NUMBERS))):
+    if not _all_numbers(values):
         raise TypeError("not a number")
     return np.fromiter(values, float, len(values))
 
@@ -449,6 +454,7 @@ def _checked_arrays(states: tuple, records: tuple[str, ...], frm, to, rates, inc
             and min(min(frm), min(to)) >= 0
             and max(max(frm), max(to)) < len(states)
             and not any(map(operator.eq, frm, to))
+            and _all_numbers(rates)
             and all(map(math.isfinite, rates))
             and min(rates) >= 0
             and np.isfinite(values).all()
@@ -468,7 +474,7 @@ def _first_bad_channel(n: int, records: tuple[str, ...], frm, to, rates, incs) -
         if frm[e] == to[e]:
             raise ValidationError(f"channel {e}: self-transition not allowed")
         try:
-            finite = math.isfinite(rates[e])
+            finite = math.isfinite(_number(rates[e]))
         except TypeError:
             raise ValidationError(f"channel {e}: rate must be a number") from None
         except OverflowError:
@@ -572,10 +578,13 @@ def _entry_channels(entries: list, index: dict[str, int]) -> list[TransitionChan
         incs = entry.get("increments", {})
         if not isinstance(incs, dict):
             raise ValidationError(f"channel {e}: 'increments' must be an object")
-        try:
-            incs = {str(k): _number(v) for k, v in incs.items()}
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"channel {e}: increments must be numbers") from None
+        if set(map(type, incs.values())) <= {float} and set(map(type, incs)) <= {str}:
+            incs = dict(incs)  # what the conversion below gives, without a call per value
+        else:
+            try:
+                incs = {str(k): _number(v) for k, v in incs.items()}
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError(f"channel {e}: increments must be numbers") from None
         channels.append(TransitionChannel(
             index[frm], index[to], str(entry.get("reservoir", "")), rate, str(entry.get("filter", "")), incs
         ))

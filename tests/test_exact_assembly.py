@@ -3,28 +3,33 @@
 ``reference_build_generator``, ``reference_tilted_generator`` and
 ``reference_dot_totals`` are the per-channel dict-of-lists assembly and the
 Fermi-sum dot totals the library used before it summed over the transition
-grouping of ``net.arrays``, kept here verbatim as the reference.  math.fsum
-is correctly rounded, so both must agree bit for bit, the sign of every zero
-included.  ``reference_cumulants_fd`` is the per-point finite-difference loop
-(one tilted generator and one eigensolve per stencil point) that the stacked
+grouping of ``net.arrays``, kept here verbatim as the reference, except that
+the tilt factors call np.exp, as the library does.  math.fsum is correctly
+rounded, so both must agree bit for bit, the sign of every zero included.
+``reference_cumulants_fd`` is the per-point finite-difference loop (one
+tilted generator and one eigensolve per stencil point) that the stacked
 stencil of ``cumulants_fd`` replaced.  Every stacked tilted generator must
 equal the reference one bitwise and the first error must be the same; each
 Perron root must lie within 1e-12 max(1, max |M|) of the reference's
 ``eigvals`` root, and means and noise must be bitwise what the per-point
-loop gives on the library's ``scgf``.  The property tests check that
-rescaling every rate by a power of two rescales the generator exactly and
-leaves every verdict alone, and that no model document, however extreme its
-numbers, makes the CLI raise.
+loop gives on the library's ``scgf``.  With the math.exp tilt the library
+used before, the FD cumulants of the benchmark models must stay within 1e-6
+of their scale.  The property tests check that rescaling every rate by a
+power of two rescales the generator exactly and leaves every verdict alone,
+and that no model document, however extreme its numbers, makes the CLI
+raise.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
 from collections import defaultdict
 from dataclasses import replace
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -43,6 +48,7 @@ from chanjump import (
     completeness_test,
     cumulants_fd,
     dot_totals,
+    load_network,
     make_twin,
     mean_currents,
     noise_matrix,
@@ -95,7 +101,7 @@ def _tilt_factors(net: ChannelNetwork, chi: Mapping[str, float]) -> list[float]:
     for x in exponents:
         if x > _MAX_EXPONENT:
             raise NumericalError(f"counting-field exponent {x:g} overflows; use smaller fields")
-    return [math.exp(x) for x in exponents]
+    return [float(np.exp(x)) for x in exponents]
 
 
 def reference_tilted_generator(net: ChannelNetwork, chi: Mapping[str, float]) -> np.ndarray:
@@ -507,6 +513,39 @@ def test_an_uncertified_root_falls_back_to_eigvals(monkeypatch):
     monkeypatch.setattr(fcs, "_NEWTON_STEPS", 1)
     for field in ({"x0": 1e-3}, {"x0": 0.1}, chi):
         assert scgf(net, field) == fcs._dominant_eigenvalues(tilted_generator(net, field)[None])[0]
+
+
+def math_exp_tilt_factors(exponents: np.ndarray) -> np.ndarray:
+    """The library's tilt before it took np.exp: one math.exp per exponent."""
+    flat = exponents.ravel()
+    over = np.flatnonzero(flat > _MAX_EXPONENT)
+    if over.size:
+        raise NumericalError(f"counting-field exponent {float(flat[over[0]]):g} overflows; use smaller fields")
+    return np.fromiter(map(math.exp, flat.tolist()), float, flat.size).reshape(exponents.shape)
+
+
+def benchmark_models(seed: int) -> dict[str, dict]:
+    """The FD-sized ladder rungs and the small models of perfbench/models.py at one seed."""
+    spec = importlib.util.spec_from_file_location("models", Path(__file__).parents[1] / "perfbench" / "models.py")
+    models = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(models)
+    ladder = models.ladder_models(seed, [rung for rung in models.LADDER if rung[0] <= models.FD_MAX_N])
+    return {**ladder, **models.small_models(seed)}
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_the_np_exp_tilt_moves_fd_cumulants_by_rounding_only(seed, monkeypatch):
+    # np.exp and math.exp differ in the last bit on some inputs; that must not
+    # move the FD means or noise past 1e-6 of their scale
+    for name, doc in benchmark_models(seed).items():
+        net = load_network(doc)
+        got = cumulants_fd(net)
+        with monkeypatch.context() as mp:
+            mp.setattr(fcs, "_tilt_factors", math_exp_tilt_factors)
+            want = cumulants_fd(net)
+        means, want_means = np.array(list(got.means.values())), np.array(list(want.means.values()))
+        assert np.abs(means - want_means).max() <= 1e-6 * max(1.0, float(np.abs(want_means).max())), name
+        assert np.abs(got.noise - want.noise).max() <= 1e-6 * max(1.0, float(np.abs(want.noise).max())), name
 
 
 # ---------------------------------------------------------------------------

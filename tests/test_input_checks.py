@@ -6,8 +6,9 @@ lengths, and anything that is not a flat list of numbers one that names the
 argument.  The linalg entry points share one finite-entry check, and a
 directly built channel whose increments are not a mapping fails validation
 with the loader's message.  Increment values that float() reads but that are
-not numbers (strings, bools) are refused on both paths, and the Drazin
-inverse refuses a p that is not the generator's stationary state.
+not numbers (strings, bools) are refused on both paths, as are such rates,
+and the Drazin inverse refuses a p that is not the generator's stationary
+state.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ from chanjump import (
 # the twin dot: N = 2 states, E = 4 channels, E0 = 2 transitions
 SPEC = twin_dot_spec()
 THREE = [1 / 3] * 3
+
+
+def two_state_network(rate) -> ChannelNetwork:
+    return ChannelNetwork(("a", "b"), (TransitionChannel(0, 1, "r", rate), TransitionChannel(1, 0, "r", 1.0)), ())
+
 
 CALLS = {
     "mean_record": (
@@ -105,6 +111,18 @@ CALLS = {
     "drazin_inverse/long": (
         lambda net: drazin_inverse(net.generator, THREE),
         "probability vector has length 3, expected 2",
+    ),
+    "ChannelNetwork/bool rate": (
+        lambda net: two_state_network(True),
+        "channel 0: rate must be a number",
+    ),
+    "ChannelNetwork/numpy bool rate": (
+        lambda net: two_state_network(np.True_),
+        "channel 0: rate must be a number",
+    ),
+    "ChannelNetwork/string rate": (
+        lambda net: two_state_network("1.5"),
+        "channel 0: rate must be a number",
     ),
 }
 
@@ -175,6 +193,11 @@ def test_increments_that_are_strings_or_bools_are_refused(value):
 def test_drazin_inverse_refuses_a_p_that_is_not_stationary(p, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         drazin_inverse(build_dot(SPEC).generator, p)
+
+
+def test_an_int_rate_is_a_number():
+    assert two_state_network(2).arrays.rate.tolist() == [2.0, 1.0]
+    assert two_state_network(np.int64(3)).arrays.rate.tolist() == [3.0, 1.0]
 
 
 def test_drazin_inverse_accepts_the_stationary_state():

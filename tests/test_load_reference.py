@@ -274,6 +274,40 @@ def test_columnar_loader_matches_the_per_channel_loader(doc, as_text):
         _assert_same_network(net, ref)
 
 
+# one increment map of each kind the loader tells apart: all-float maps with
+# str keys are copied, anything else goes through the per-value conversion
+_INCREMENT_MAPS = {
+    "all floats": ({"x": 0.5, "y": -1.25, "1": 0.0}, None),
+    "ints": ({"x": 1, "y": -2}, None),
+    "numpy floats": ({"x": np.float64(0.5), "y": np.float64(-3.0)}, None),
+    "non-str keys": ({1: 0.5, "x": 2.0}, None),
+    "str and float subclasses": ({np.str_("x"): 0.5, "y": np.float64(2.0)}, None),
+    "empty": ({}, None),
+    "nan": ({"x": 1.0, "y": math.nan}, "channel 0: increment 'y' is not finite"),
+    "inf": ({"x": -math.inf}, "channel 0: increment 'x' is not finite"),
+    "bool": ({"x": 1.0, "y": True}, "channel 0: increments must be numbers"),
+    "str": ({"x": "2.5"}, "channel 0: increments must be numbers"),
+}
+
+
+@pytest.mark.parametrize("as_text", [False, True], ids=["dict", "text"])
+@pytest.mark.parametrize("name", _INCREMENT_MAPS)
+def test_each_kind_of_increment_map_loads_as_the_reference_loads_it(name, as_text):
+    increments, message = _INCREMENT_MAPS[name]
+    doc = {"states": ["a", "b"], "records": ["x", "y", "1"], "channels": [
+        {"from": "a", "to": "b", "reservoir": "L", "rate": 1.5, "increments": increments},
+        {"from": "b", "to": "a", "reservoir": "R", "rate": 0.5, "increments": {"y": 1.0}},
+    ]}
+    refused = _numbers_refused(doc)
+    document, reference = (json.dumps(doc), json.dumps(refused)) if as_text else (doc, refused)
+    (net, error), (ref, ref_error) = _outcome(load_network, document), _outcome(_reference_load, reference)
+    assert error == ref_error == message
+    if ref is not None:
+        _assert_same_network(net, ref)
+        assert {type(v) for ch in net.channels for v in ch.increments.values()} == {float}
+        assert {type(k) for ch in net.channels for k in ch.increments} == {str}
+
+
 @pytest.mark.parametrize(
     "channels, message",
     [

@@ -210,7 +210,7 @@ def test_array_view_keeps_per_channel_arithmetic():
             L1[ch.to_state, ch.from_state] += ch.rate * ch.increment(recs[0])
             L2[ch.to_state, ch.from_state] += ch.rate * ch.increment(recs[0]) * ch.increment(recs[1])
             x = math.fsum(w * ch.increment(r) for r, w in chi.items())
-            V[ch.to_state, ch.from_state] += c[e] * math.exp(x)
+            V[ch.to_state, ch.from_state] += c[e] * float(np.exp(x))
             V[ch.from_state, ch.from_state] -= c[e]
         new_L1, new_L2 = tilt_derivatives(net, recs[0], recs[1])
         assert np.array_equal(new_L1, L1) and np.array_equal(new_L2, L2)
