@@ -171,9 +171,12 @@ def _parse_direction(pairs: list[str]) -> dict[str, float]:
         if not sep or not name:
             raise ValidationError(f"--direction expects record=weight, got {item!r}")
         try:
-            direction[name] = float(weight)
+            value = float(weight)
         except ValueError:
-            raise ValidationError(f"bad weight in --direction {item!r}") from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValidationError(f"bad weight in --direction {item!r}")
+        direction[name] = value
     if not direction:
         raise ValidationError("at least one --direction record=weight is required")
     return direction

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .network import ChannelNetwork, TransitionChannel, build_generator, checked_vector
+from .network import ChannelNetwork, TransitionChannel, build_generator, checked_number, checked_vector
 from .records import RecordInterval
 
 __all__ = [
@@ -56,7 +56,10 @@ class DotSpec:
     """Dot description: level energies, reservoirs, and tunnel couplings.
 
     ``couplings`` maps (level index, reservoir name, filter label) to a
-    nonnegative coupling strength gamma.
+    nonnegative coupling strength gamma.  Construction checks the whole dot:
+    levels, mu, T and gamma are numbers, stored as floats (levels and mu
+    finite, T > 0, gamma finite and >= 0), reservoir names distinct nonempty
+    strings, and a coupling names a level index, a reservoir and a string filter.
     """
 
     levels: tuple[float, ...]
@@ -64,27 +67,37 @@ class DotSpec:
     couplings: Mapping[tuple[int, str, str], float]
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(float(x) for x in self.levels))
-        object.__setattr__(self, "reservoirs", tuple(self.reservoirs))
-        object.__setattr__(self, "couplings", dict(self.couplings))
+        object.__setattr__(self, "levels", tuple(checked_number(x, f"level {k}") for k, x in enumerate(self.levels)))
+        object.__setattr__(self, "reservoirs", tuple(
+            Reservoir(r.name, checked_number(r.mu, f"reservoir {r.name!r}: mu"),
+                      checked_number(r.temperature, f"reservoir {r.name!r}: T"))
+            for r in self.reservoirs
+        ))
+        couplings = {key: checked_number(g, f"coupling {key}: gamma") for key, g in self.couplings.items()}
+        object.__setattr__(self, "couplings", couplings)
         if not self.levels:
             raise ValidationError("dot needs at least one level")
+        if not all(map(math.isfinite, self.levels)):
+            raise ValidationError("level energies must be finite")
         if not self.reservoirs:
             raise ValidationError("dot needs at least one reservoir")
         names = [r.name for r in self.reservoirs]
+        if not all(isinstance(name, str) and name for name in names):
+            raise ValidationError("reservoir names must be nonempty strings")
         if len(set(names)) != len(names):
             raise ValidationError("duplicate reservoir name")
         if "total" in names:
             raise ValidationError("reservoir name 'total' is reserved")
         for r in self.reservoirs:
-            if r.temperature <= 0:
-                raise ValidationError(f"reservoir {r.name!r} needs temperature > 0")
-        known = set(names)
+            if not (math.isfinite(r.mu) and r.temperature > 0):  # NaN fails too
+                raise ValidationError(f"reservoir {r.name!r} needs a finite mu and temperature > 0")
         for (i, rname, lam), g in self.couplings.items():
-            if not (0 <= i < len(self.levels)):
-                raise ValidationError(f"coupling references unknown level {i}")
-            if rname not in known:
+            if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or not 0 <= i < len(self.levels):
+                raise ValidationError(f"coupling references unknown level {i!r}")
+            if rname not in names:
                 raise ValidationError(f"coupling references unknown reservoir {rname!r}")
+            if not isinstance(lam, str):
+                raise ValidationError(f"coupling filter must be a string, got {lam!r}")
             if not math.isfinite(g) or g < 0:
                 raise ValidationError(f"coupling ({i}, {rname!r}, {lam!r}) must be >= 0")
 
@@ -120,7 +133,7 @@ def _level_contacts(spec: DotSpec, i: int) -> list[tuple[Reservoir, str, float]]
     for res in spec.reservoirs:
         lams = sorted(lam for (j, rname, lam) in spec.couplings if j == i and rname == res.name)
         for lam in lams:
-            out.append((res, lam, float(spec.couplings[(i, res.name, lam)])))
+            out.append((res, lam, spec.couplings[(i, res.name, lam)]))
     return out
 
 
@@ -311,25 +324,26 @@ def dot_heat_bounds(
 
 
 def dot_spec_from_document(obj: dict) -> DotSpec:
-    """Parse the 'dot' convenience key of a model file."""
-    if not isinstance(obj, dict):
-        raise ValidationError("'dot' must be an object")
-    for key in ("levels", "reservoirs", "couplings"):
-        if key not in obj:
-            raise ValidationError(f"'dot' missing key {key!r}")
+    """Parse the 'dot' convenience key of a model file into a DotSpec.
+
+    Only reshapes the JSON: arrays of levels, reservoirs {name, mu, T} and couplings {level, reservoir,
+    filter?, gamma}, each coupling once, go to DotSpec as they are; errors start "malformed 'dot' description: ".
+    """
     try:
-        reservoirs = tuple(
-            Reservoir(name=str(r["name"]), mu=float(r["mu"]), temperature=float(r["T"]))
-            for r in obj["reservoirs"]
-        )
-        couplings = {
-            (int(c["level"]), str(c["reservoir"]), str(c.get("filter", ""))): float(c["gamma"])
-            for c in obj["couplings"]
-        }
-        levels = tuple(float(x) for x in obj["levels"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        if not isinstance(obj, dict):
+            raise ValidationError("not an object")
+        for key in ("levels", "reservoirs", "couplings"):
+            if not isinstance(obj.get(key), list):
+                raise ValidationError(f"{key!r} must be an array")
+        reservoirs = tuple(Reservoir(r["name"], r["mu"], r["T"]) for r in obj["reservoirs"])
+        keys = [(c["level"], c["reservoir"], c.get("filter", "")) for c in obj["couplings"]]
+        spec = DotSpec(tuple(obj["levels"]), reservoirs, dict(zip(keys, [c["gamma"] for c in obj["couplings"]])))
+        if len(spec.couplings) < len(keys):  # the keys passed DotSpec's type checks, so == tells them apart
+            repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise ValidationError(f"coupling {repeated} appears twice")
+        return spec
+    except (KeyError, TypeError, ValidationError) as exc:
         raise ValidationError(f"malformed 'dot' description: {exc}") from exc
-    return DotSpec(levels=levels, reservoirs=reservoirs, couplings=couplings)
 
 
 def twin_dot_spec(

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .fcs import CumulantReport
-from .network import ChannelNetwork, finite_fsum, graph_walk
+from .network import ChannelNetwork, checked_probability, finite_fsum, graph_walk
 
 __all__ = ["SimConfig", "TrajectoryStats", "simulate", "empirical_cumulants"]
 
@@ -389,7 +389,7 @@ class _Tally:
 
 
 def _initial_sampler(net: ChannelNetwork, cfg: SimConfig):
-    if isinstance(cfg.initial, (int, np.integer)):
+    if isinstance(cfg.initial, (int, np.integer)) and not isinstance(cfg.initial, bool):
         idx = int(cfg.initial)
         if not (0 <= idx < net.n_states):
             raise ValidationError(f"initial state {idx} out of range")
@@ -402,9 +402,10 @@ def _initial_sampler(net: ChannelNetwork, cfg: SimConfig):
                 "network is not ergodic; pass an explicit initial state or distribution"
             ) from None
     else:
-        p = np.asarray(cfg.initial, dtype=float)
-        if p.shape != (net.n_states,) or not (p.min() >= 0 and abs(p.sum() - 1.0) <= 1e-9):  # NaN and inf fail
-            raise ValidationError("initial must be a probability vector over the states")
+        try:
+            p = checked_probability(cfg.initial, net.n_states)
+        except ValidationError:
+            raise ValidationError("initial must be a probability vector over the states") from None
     return None, np.cumsum(p)
 
 

@@ -308,7 +308,10 @@ class ChannelArrays:
         return totals
 
     def weighted(self, rows: list[int], weights: list[float]) -> list[float]:
-        """Per channel, the correctly rounded sum of weights . increments[rows]."""
+        """Per channel, the correctly rounded sum of weights . increments[rows]; each weight a finite number."""
+        weights = [checked_number(w, f"weight {w!r}") for w in weights]
+        if not all(map(math.isfinite, weights)):
+            raise ValidationError(f"weights must be finite, got {weights}")
         columns = self.increments[rows].T.tolist()
         try:
             return [math.fsum(map(operator.mul, weights, col)) for col in columns]
@@ -345,10 +348,21 @@ def finite_fsum(terms, what: str) -> float:
     return total
 
 
+def checked_number(x, what: str) -> float:
+    """float(x) for a number; a ValidationError naming ``what`` otherwise (a str, bytes or bool is not a number)."""
+    try:
+        return _number(x)
+    except OverflowError:
+        raise ValidationError(f"{what} is too large for a float") from None
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a number") from None
+
+
 def checked_vector(x, size: int, what: str, unit: str = "") -> np.ndarray:
     """x as a float array of length size; a ValidationError naming ``what`` (and both lengths) otherwise."""
     try:
-        v = np.asarray(x, dtype=float)
+        screen = x.flat[:1] if isinstance(x, np.ndarray) and x.dtype != object else x  # an array by its dtype
+        v = np.asarray(x, dtype=float) if _all_numbers(screen) else None
     except (TypeError, ValueError, OverflowError):  # not numbers, ragged, or an int past the largest double
         v = None
     if v is None or v.ndim != 1:
@@ -423,7 +437,7 @@ def _flat_values(incs: Sequence[Mapping]) -> np.ndarray:
     return np.fromiter(values, float, len(values))
 
 
-_INDEX_TYPES = (int, np.integer)  # a state index is a Python or a numpy integer
+_INDEX_TYPES = (int, np.integer)  # a state index is a Python or a numpy integer, and a number (not a bool)
 
 
 def _checked_arrays(states: tuple, records: tuple[str, ...], frm, to, rates, incs) -> ChannelArrays:
@@ -451,6 +465,7 @@ def _checked_arrays(states: tuple, records: tuple[str, ...], frm, to, rates, inc
         values = _flat_values(incs)
         if (
             all(map(isinstance, chain(frm, to), repeat(_INDEX_TYPES)))
+            and _all_numbers(chain(frm, to))
             and min(min(frm), min(to)) >= 0
             and max(max(frm), max(to)) < len(states)
             and not any(map(operator.eq, frm, to))
@@ -469,17 +484,13 @@ def _first_bad_channel(n: int, records: tuple[str, ...], frm, to, rates, incs) -
     """Run the checks channel by channel and raise for the first failing one."""
     declared = set(records)
     for e, increments in enumerate(incs):
-        if not all(isinstance(i, _INDEX_TYPES) and 0 <= i < n for i in (frm[e], to[e])):
+        pair = (frm[e], to[e])
+        if not (_all_numbers(pair) and all(isinstance(i, _INDEX_TYPES) and 0 <= i < n for i in pair)):
             raise ValidationError(f"channel {e}: state index must be an integer in [0, {n})")
         if frm[e] == to[e]:
             raise ValidationError(f"channel {e}: self-transition not allowed")
-        try:
-            finite = math.isfinite(_number(rates[e]))
-        except TypeError:
-            raise ValidationError(f"channel {e}: rate must be a number") from None
-        except OverflowError:
-            raise ValidationError(f"channel {e}: rate is too large for a float") from None
-        if not finite or rates[e] < 0:
+        rate = checked_number(rates[e], f"channel {e}: rate")
+        if not math.isfinite(rate) or rate < 0:
             raise ValidationError(f"channel {e}: rate must be finite and >= 0, got {rates[e]!r}")
         if not isinstance(increments, Mapping):
             raise ValidationError(f"channel {e}: 'increments' must be an object")
@@ -569,12 +580,8 @@ def _entry_channels(entries: list, index: dict[str, int]) -> list[TransitionChan
         for name in (frm, to):
             if not isinstance(name, str) or name not in index:
                 raise ValidationError(f"channel {e}: unknown state {name!r}")
-        if not isinstance(rate, (int, float)) or isinstance(rate, bool):
-            raise ValidationError(f"channel {e}: rate must be a number")
-        try:
-            rate = float(rate)
-        except OverflowError:
-            raise ValidationError(f"channel {e}: rate is too large for a float") from None
+        if type(rate) is not float:  # an exact float is what checked_number returns
+            rate = checked_number(rate, f"channel {e}: rate")
         incs = entry.get("increments", {})
         if not isinstance(incs, dict):
             raise ValidationError(f"channel {e}: 'increments' must be an object")

@@ -177,6 +177,21 @@ def test_bounds_direction_syntax(twin_model):
     assert run(["bounds", twin_model]) == 1
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_bounds_refuses_a_non_finite_direction_weight(weight, twin_model, capsys):
+    # NaN and inf once reached the interval sums and exited 2 as a numerical error
+    assert run(["bounds", twin_model, "--direction", f"heat_total={weight}"]) == 1
+    err = capsys.readouterr().err
+    assert f"validation error: bad weight in --direction 'heat_total={weight}'" in err and "Traceback" not in err
+
+
+def test_twin_demo_refuses_a_nan_temperature(capsys):
+    # the message once named "channel 0: rate" instead of the temperature
+    assert run(["twin-demo", "--temp", "nan"]) == 1
+    err = capsys.readouterr().err
+    assert "validation error: reservoir 'L' needs a finite mu and temperature > 0" in err and "Traceback" not in err
+
+
 def test_twin_demo_defaults(tmp_path):
     out = tmp_path / "t.json"
     assert run(["twin-demo", "--json", str(out)]) == 0

@@ -8,19 +8,29 @@ directly built channel whose increments are not a mapping fails validation
 with the loader's message.  Increment values that float() reads but that are
 not numbers (strings, bools) are refused on both paths, as are such rates,
 and the Drazin inverse refuses a p that is not the generator's stationary
-state.
+state.  REFUSED lists inputs that are not what they claim to be (a bool
+state index or initial state, string or non-finite weights, a dot with a
+fractional level, a repeated coupling or a string gamma), and BRANCHES one
+case for each check or fallback that no other test reaches.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
 from chanjump import (
     ChannelNetwork,
+    DotSpec,
     NumericalError,
+    Reservoir,
+    SimConfig,
+    TrajectoryStats,
     TransitionChannel,
     ValidationError,
     build_dot,
@@ -32,15 +42,22 @@ from chanjump import (
     first_order_record_change,
     kernel_basis,
     load_network,
+    make_twin,
     mean_record,
     numerical_rank,
     pseudo_inverse,
     quotient_form,
     record_hull_summary,
     record_interval,
+    scgf,
+    serialize_network,
+    simulate,
+    tilted_generator,
     tilted_null_variation,
     twin_dot_spec,
 )
+from chanjump.cli import cmd_bounds
+from chanjump.dot import dot_spec_from_document
 
 # the twin dot: N = 2 states, E = 4 channels, E0 = 2 transitions
 SPEC = twin_dot_spec()
@@ -124,6 +141,18 @@ CALLS = {
         lambda net: two_state_network("1.5"),
         "channel 0: rate must be a number",
     ),
+    "mean_record/numeric strings": (
+        lambda net: mean_record(net, ["0.5", "0.5"], "heat_L"),
+        "probability vector must be a flat list of numbers",
+    ),
+    "mean_record/bool list": (
+        lambda net: mean_record(net, [True, False], "heat_L"),
+        "probability vector must be a flat list of numbers",
+    ),
+    "mean_record/bool array": (
+        lambda net: mean_record(net, np.array([True, False]), "heat_L"),
+        "probability vector must be a flat list of numbers",
+    ),
 }
 
 
@@ -205,3 +234,217 @@ def test_drazin_inverse_accepts_the_stationary_state():
     for p in (net.stationary.p, dot_stationary(dot_totals(SPEC))):
         R = drazin_inverse(net.generator, p)
         assert np.abs(net.generator.matrix @ R - (np.eye(2) - np.outer(p, np.ones(2)))).max() < 1e-12
+
+
+def dot_document(**changes) -> str:
+    """A two-level dot model file; ``changes`` replace its top-level 'dot' entries or, by name, its first coupling."""
+    doc = {
+        "levels": [1.0, 0.3],
+        "reservoirs": [{"name": "L", "mu": 0.5, "T": 1.0}, {"name": "R", "mu": -0.5, "T": 1.0}],
+        "couplings": [{"level": 0, "reservoir": "L", "gamma": 1.0}, {"level": 0, "reservoir": "R", "gamma": 1.0},
+                      {"level": 1, "reservoir": "L", "gamma": 1.0}],
+    }
+    for key, value in changes.items():
+        (doc if key in doc else doc["couplings"][0])[key] = value
+    return json.dumps({"dot": doc})
+
+
+def dot_spec(gamma=1.0, temperature=1.0, key=(0, "L", ""), name="L") -> DotSpec:
+    """A two-level dot with one reservoir and one coupling."""
+    return DotSpec((1.0, 0.3), (Reservoir(name, 0.0, temperature),), {key: gamma})
+
+
+def simulate_from(initial):
+    return simulate(build_dot(SPEC), SimConfig(n_trajectories=1, seed=0, t_max=1.0, initial=initial))
+
+
+REPEATED = json.loads(dot_document())
+REPEATED["dot"]["couplings"].append(REPEATED["dot"]["couplings"][0])
+
+# inputs that once built a network, ran, or escaped as a bare TypeError or ValueError
+REFUSED = {
+    "ChannelNetwork/bool state index": (
+        lambda: ChannelNetwork(("a", "b"), (TransitionChannel(True, 0, "r", 1.0), TransitionChannel(0, 1, "r", 1.0)), ()),
+        "channel 0: state index must be an integer in [0, 2)",
+    ),
+    "simulate/bool initial": (lambda: simulate_from(True), "initial must be a probability vector over the states"),
+    "simulate/string initial": (lambda: simulate_from(["a", "b"]), "initial must be a probability vector over the states"),
+    "simulate/ragged initial": (
+        lambda: simulate_from([[0.5], [0.5, 0.0]]),
+        "initial must be a probability vector over the states",
+    ),
+    "record_interval/string weight": (
+        lambda: record_interval(build_dot(SPEC), [1.0, 1.0], {"heat_L": "1"}),
+        "weight '1' must be a number",
+    ),
+    "scgf/string field": (lambda: scgf(build_dot(SPEC), {"heat_L": "0.1"}), "weight '0.1' must be a number"),
+    "tilted_generator/NaN field": (
+        lambda: tilted_generator(build_dot(SPEC), {"heat_L": math.nan}),
+        "weights must be finite, got [nan]",
+    ),
+    "tilted_generator/bool field": (
+        lambda: tilted_generator(build_dot(SPEC), {"heat_L": True}),
+        "weight True must be a number",
+    ),
+    "DotSpec/string gamma": (lambda: dot_spec(gamma="2.5"), "coupling (0, 'L', ''): gamma must be a number"),
+    "DotSpec/None gamma": (lambda: dot_spec(gamma=None), "coupling (0, 'L', ''): gamma must be a number"),
+    "DotSpec/NaN T": (lambda: dot_spec(temperature=math.nan), "reservoir 'L' needs a finite mu and temperature > 0"),
+    "DotSpec/bool level": (lambda: dot_spec(key=(True, "L", "")), "coupling references unknown level True"),
+    "DotSpec/filter not a string": (
+        lambda: dot_spec(key=(0, "L", 1)),
+        "coupling filter must be a string, got 1",
+    ),
+    "DotSpec/empty reservoir name": (lambda: dot_spec(name=""), "reservoir names must be nonempty strings"),
+    "dot/level 1.7": (
+        lambda: load_network(dot_document(level=1.7)),
+        "malformed 'dot' description: coupling references unknown level 1.7",
+    ),
+    "dot/levels a string": (
+        lambda: load_network(dot_document(levels="12")),
+        "malformed 'dot' description: 'levels' must be an array",
+    ),
+    "dot/repeated coupling": (
+        lambda: load_network(REPEATED),
+        "malformed 'dot' description: coupling (0, 'L', '') appears twice",
+    ),
+    "dot/string gamma": (
+        lambda: load_network(dot_document(gamma="2.5")),
+        "malformed 'dot' description: coupling (0, 'L', ''): gamma must be a number",
+    ),
+    "dot/bool gamma": (
+        lambda: load_network(dot_document(gamma=True)),
+        "malformed 'dot' description: coupling (0, 'L', ''): gamma must be a number",
+    ),
+    "dot/NaN T": (
+        lambda: load_network(dot_document(reservoirs=[{"name": "L", "mu": 0.5, "T": math.nan}])),
+        "malformed 'dot' description: reservoir 'L' needs a finite mu and temperature > 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_input_that_is_not_what_it_claims_is_refused(name):
+    call, message = REFUSED[name]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def network_of(states, channels, records=()) -> ChannelNetwork:
+    return ChannelNetwork(states, tuple(TransitionChannel(*c) for c in channels), records)
+
+
+BACK_AND_FORTH = [(0, 1, "r", 1.0), (1, 0, "r", 1.0)]
+# a -> b through two reservoirs, the second at rate 0: no stationary traffic on channel 1
+SILENT = network_of(("a", "b"), [(0, 1, "r", 1.0), (0, 1, "s", 0.0), (1, 0, "r", 1.0)])
+# two separate pairs, so no unique stationary state; only a -> b counts x
+SPLIT = network_of(
+    ("a", "b", "c", "d"),
+    [(0, 1, "r", 1.0, "", {"x": 1.0}), (1, 0, "r", 1.0), (2, 3, "r", 1.0), (3, 2, "r", 1.0)],
+    ("x",),
+)
+
+
+def stats(elapsed: float) -> TrajectoryStats:
+    return TrajectoryStats({"x": 3.0}, np.zeros(2), elapsed, 3, False, np.zeros(2))
+
+
+def bounds_with_a_missing_u_file():
+    with open("twin.json", "w") as handle:
+        handle.write(serialize_network(build_dot(SPEC)))
+    cmd_bounds(argparse.Namespace(model="twin.json", direction=["heat_total=1"], u_file="missing.json"))
+
+
+# one case per branch that no other test reaches: a refusal gives its message, an accepting path its value
+BRANCHES = {
+    "ChannelNetwork/one state": (lambda: network_of(("a",), BACK_AND_FORTH), "a network needs at least 2 states"),
+    "ChannelNetwork/duplicate state": (lambda: network_of(("a", "a"), BACK_AND_FORTH), "duplicate state name"),
+    "ChannelNetwork/empty state name": (
+        lambda: network_of(("a", ""), BACK_AND_FORTH),
+        "state names must be nonempty strings, got ''",
+    ),
+    "ChannelNetwork/state name not a string": (
+        lambda: network_of(("a", 1), BACK_AND_FORTH),
+        "state names must be nonempty strings, got 1",
+    ),
+    "ChannelNetwork/empty record name": (
+        lambda: network_of(("a", "b"), BACK_AND_FORTH, ("",)),
+        "record names must be nonempty",
+    ),
+    "load_network/array document": (lambda: load_network("[]"), "model document must be a JSON object"),
+    "load_network/states not an array": (
+        lambda: load_network({"states": "ab", "records": [], "channels": []}),
+        "'states' must be an array",
+    ),
+    "load_network/records not an array": (
+        lambda: load_network({"states": ["a", "b"], "records": "x", "channels": []}),
+        "'records' must be an array",
+    ),
+    "load_network/entry without rate": (
+        lambda: load_network({"states": ["a", "b"], "records": [], "channels": [{"from": "a", "to": "b"}]}),
+        "channel 0: missing key 'rate'",
+    ),
+    "DotSpec/no level": (lambda: DotSpec((), (Reservoir("L", 0.0, 1.0),), {}), "dot needs at least one level"),
+    "DotSpec/no reservoir": (lambda: DotSpec((1.0,), (), {}), "dot needs at least one reservoir"),
+    "DotSpec/duplicate reservoir": (
+        lambda: DotSpec((1.0,), (Reservoir("L", 0.0, 1.0), Reservoir("L", 1.0, 1.0)), {}),
+        "duplicate reservoir name",
+    ),
+    "DotSpec/reservoir named total": (lambda: dot_spec(name="total"), "reservoir name 'total' is reserved"),
+    "DotSpec.reservoir/unknown name": (lambda: SPEC.reservoir("X"), "unknown reservoir 'X'"),
+    "dot_spec_from_document/not an object": (
+        lambda: dot_spec_from_document([]),
+        "malformed 'dot' description: not an object",
+    ),
+    "dot_spec_from_document/missing key": (
+        lambda: dot_spec_from_document({"levels": [1.0], "reservoirs": []}),
+        "malformed 'dot' description: 'couplings' must be an array",
+    ),
+    "make_twin/level out of range": (
+        lambda: make_twin(build_dot(SPEC), 5, "L", "R", 0.1),
+        "level 5 out of range",
+    ),
+    "make_twin/gain is lose": (
+        lambda: make_twin(build_dot(SPEC), 0, "L", "L", 0.1),
+        "gain and lose reservoirs must differ",
+    ),
+    "dot_heat_bounds/allowed sets of the wrong length": (
+        lambda: dot_heat_bounds(dot_totals(SPEC), [0.5, 0.5], SPEC, [["L"], ["R"]], [["L"]]),
+        "allowed reservoir sets must be given per level",
+    ),
+    "quotient_form/zero stationary traffic": (
+        lambda: quotient_form(SILENT),
+        "stationary traffic is not strictly positive; supply R_inv explicitly",
+    ),
+    "quotient_form/E x E diagonal R_inv": (
+        lambda: quotient_form(SILENT, np.diag([1.0, 3.0, 2.0])).Q,
+        np.diag([0.25, 0.5]),
+    ),
+    "quotient_form/wrong-length R_inv": (
+        lambda: quotient_form(SILENT, [1.0, 2.0]),
+        "R_inv must be a length-3 diagonal",
+    ),
+    "drazin_inverse/without p": (
+        lambda: drazin_inverse(two_state_network(1.0).generator),
+        [[-0.25, 0.25], [0.25, -0.25]],
+    ),
+    "numerical_rank/zero matrix": (lambda: numerical_rank(np.zeros((2, 3))), 0),
+    # the a-b block gives -1 + sqrt(e^chi) = 1 at chi = ln 4, the c-d block 0
+    "scgf/no stationary state": (lambda: scgf(SPLIT, {"x": math.log(4.0)}), 1.0),
+    "cli bounds/unreadable u file": (
+        bounds_with_a_missing_u_file,
+        "cannot read u file: [Errno 2] No such file or directory: 'missing.json'",
+    ),
+    "TrajectoryStats.rates": (lambda: list(stats(2.0).rates().values()), [1.5]),
+    "TrajectoryStats.rates/no time elapsed": (lambda: list(stats(0.0).rates().values()), [math.nan]),
+}
+
+
+@pytest.mark.parametrize("name", BRANCHES)
+def test_every_branch_is_reached(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    call, expected = BRANCHES[name]
+    if isinstance(expected, str):
+        with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
+            call()
+    else:
+        np.testing.assert_allclose(call(), expected, rtol=1e-12, atol=1e-15)
