@@ -335,15 +335,27 @@ def dot_spec_from_document(obj: dict) -> DotSpec:
         for key in ("levels", "reservoirs", "couplings"):
             if not isinstance(obj.get(key), list):
                 raise ValidationError(f"{key!r} must be an array")
-        reservoirs = tuple(Reservoir(r["name"], r["mu"], r["T"]) for r in obj["reservoirs"])
-        keys = [(c["level"], c["reservoir"], c.get("filter", "")) for c in obj["couplings"]]
-        spec = DotSpec(tuple(obj["levels"]), reservoirs, dict(zip(keys, [c["gamma"] for c in obj["couplings"]])))
+        reservoirs = tuple(Reservoir(*r) for r in _fields(obj["reservoirs"], "reservoir", ("name", "mu", "T")))
+        couplings = _fields(obj["couplings"], "coupling", ("level", "reservoir", "gamma"))
+        keys = [(level, r, c.get("filter", "")) for (level, r, _), c in zip(couplings, obj["couplings"])]
+        spec = DotSpec(tuple(obj["levels"]), reservoirs, dict(zip(keys, [gamma for *_, gamma in couplings])))
         if len(spec.couplings) < len(keys):  # the keys passed DotSpec's type checks, so == tells them apart
             repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
             raise ValidationError(f"coupling {repeated} appears twice")
         return spec
-    except (KeyError, TypeError, ValidationError) as exc:
+    except (TypeError, ValidationError) as exc:  # TypeError: a level or reservoir that cannot be a key
         raise ValidationError(f"malformed 'dot' description: {exc}") from exc
+
+
+def _fields(entries: list, kind: str, keys: tuple[str, ...]) -> list[list]:
+    """Each entry's values at keys; a ValidationError naming the entry (by position) and the first missing key."""
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{kind} {k} must be an object")
+        for key in keys:
+            if key not in entry:
+                raise ValidationError(f"{kind} {k} has no {key!r}")
+    return [[entry[key] for key in keys] for entry in entries]
 
 
 def twin_dot_spec(

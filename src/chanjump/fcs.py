@@ -100,7 +100,7 @@ def _tilt_factors(exponents: np.ndarray) -> np.ndarray:
 
 def _exponents(net: ChannelNetwork, chi: Mapping[str, float]) -> np.ndarray:
     """chi . d_e for every channel, each sum correctly rounded."""
-    return np.array(net.arrays.weighted(net.record_rows(chi), list(chi.values())))
+    return np.array(net.arrays.weighted(net.record_rows(chi), chi))
 
 
 def _tilted_stack(net: ChannelNetwork, exponents: np.ndarray) -> np.ndarray:

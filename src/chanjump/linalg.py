@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonErgodicError, NumericalError, ValidationError
-from .network import StateGenerator, checked_probability
+from .network import StateGenerator, StationaryState, checked_probability
 
 __all__ = [
     "DEFAULT_TOL",
@@ -31,14 +31,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class StationaryState:
-    """Normalized null vector of an ergodic generator."""
-
-    p: np.ndarray
-    ergodic: bool
 
 
 @dataclass(frozen=True)
@@ -101,7 +93,7 @@ def drazin_inverse(L, p: StationaryState | np.ndarray | None = None) -> np.ndarr
     n = M.shape[0]
     if p is None:
         p = stationary_state(M)
-    pv = checked_probability(p.p if isinstance(p, StationaryState) else p, n)
+    pv = checked_probability(p, n)
     if np.abs(M @ pv).max() > 1e-9 * np.abs(M).max():
         raise ValidationError("p is not the stationary state of L")
     bordered = np.zeros((n + 1, n + 1))

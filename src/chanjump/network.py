@@ -55,7 +55,8 @@ class TransitionChannel:
     """One reservoir/filter-resolved directed transition.
 
     ``increments`` maps record names to the value added to that record when
-    the channel fires; missing records read as 0.
+    the channel fires; missing records read as 0.  ``reservoir`` and
+    ``filter`` are strings.
     """
 
     from_state: int
@@ -155,6 +156,8 @@ class ChannelArrays:
     projects onto ker P.  ``grouped`` lists the channels transition by
     transition (channel order within one), ``spans`` is each transition's
     slice of it and ``pairs`` the E0 x 2 array of ``transitions``.
+    ``conjugate`` numbers the channels' conjugate groups, keys (reservoir,
+    filter, lo, hi) with lo < hi, by first appearance; ``conjugate_keys`` lists them.
     """
 
     from_state: np.ndarray
@@ -165,26 +168,28 @@ class ChannelArrays:
     counts: np.ndarray
     grouped: np.ndarray
     pairs: np.ndarray
+    conjugate: np.ndarray
     transitions: tuple[tuple[int, int], ...]
     spans: tuple[tuple[int, int], ...]
+    conjugate_keys: tuple[tuple[str, str, int, int], ...]
 
     @classmethod
-    def from_columns(cls, records, frm, to, rates, incs, values: np.ndarray) -> ChannelArrays:
+    def from_columns(cls, records, frm, to, reservoirs, filters, rates, incs, values: np.ndarray) -> ChannelArrays:
         """Arrays of validated channel columns.
 
         ``incs`` holds every channel's increment map and ``values`` all their
         values, map after map, as floats; the q x E increment matrix is filled
         by one scatter.
         """
-        keys = list(zip(frm, to))
-        t_index = dict(zip(dict.fromkeys(keys), range(len(keys))))
-        transition = list(map(t_index.__getitem__, keys))
-        increments = np.zeros((len(records), len(keys)))
+        transition, _ = _numbered(zip(frm, to))
+        increments = np.zeros((len(records), len(frm)))
         rows = map({rec: i for i, rec in enumerate(records)}.__getitem__, chain.from_iterable(incs))
-        columns = np.repeat(np.arange(len(keys)), list(map(len, incs)))
+        columns = np.repeat(np.arange(len(frm)), list(map(len, incs)))
         increments[np.fromiter(rows, np.intp, len(values)), columns] = values
-        counts = np.bincount(transition, minlength=len(t_index))
+        counts = np.bincount(transition)
         frm, to = np.array(frm, dtype=np.intp), np.array(to, dtype=np.intp)
+        lo, hi = np.minimum(frm, to).tolist(), np.maximum(frm, to).tolist()
+        conjugate, keys = _numbered(zip(reservoirs, filters, lo, hi))
         grouped = np.argsort(transition, kind="stable")
         ends = np.cumsum(counts)
         first = grouped[ends - counts]  # the first channel of every transition
@@ -199,12 +204,13 @@ class ChannelArrays:
             counts,
             grouped,
             pairs,
+            np.array(conjugate, dtype=np.intp),
         )
         for arr in arrays:
             arr.flags.writeable = False
         transitions = tuple(zip(*pairs.T.tolist()))  # Python ints, whatever the index type
         ends = ends.tolist()
-        return cls(*arrays, transitions=transitions, spans=tuple(zip([0] + ends[:-1], ends)))
+        return cls(*arrays, transitions=transitions, spans=tuple(zip([0] + ends[:-1], ends)), conjugate_keys=keys)
 
     @staticmethod
     def sum_by(X: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
@@ -307,14 +313,15 @@ class ChannelArrays:
                 totals[k, t] = _fsum(block[k, slices[t]].tolist())
         return totals
 
-    def weighted(self, rows: list[int], weights: list[float]) -> list[float]:
-        """Per channel, the correctly rounded sum of weights . increments[rows]; each weight a finite number."""
-        weights = [checked_number(w, f"weight {w!r}") for w in weights]
-        if not all(map(math.isfinite, weights)):
-            raise ValidationError(f"weights must be finite, got {weights}")
+    def weighted(self, rows: list[int], weights: Mapping[str, float]) -> list[float]:
+        """Per channel, the correctly rounded sum of weights . increments[rows]; a finite weight per record name."""
+        values = [checked_number(w, f"weight of record {name!r}") for name, w in weights.items()]
+        for name, w in zip(weights, values):
+            if not math.isfinite(w):
+                raise ValidationError(f"weight of record {name!r} must be finite, got {w}")
         columns = self.increments[rows].T.tolist()
         try:
-            return [math.fsum(map(operator.mul, weights, col)) for col in columns]
+            return [math.fsum(map(operator.mul, values, col)) for col in columns]
         except (OverflowError, ValueError):  # finite terms past the largest double, or inf - inf
             raise NumericalError("weighted record increments exceed the largest double") from None
 
@@ -375,9 +382,9 @@ def checked_vector(x, size: int, what: str, unit: str = "") -> np.ndarray:
 def checked_probability(p, size: int) -> np.ndarray:
     """p as a float array of length size; a ValidationError unless it is a probability vector.
 
-    Entries may fall below 0 by 1e-12 and the sum may miss 1 by 1e-9.
+    p may be a StationaryState.  Entries may fall below 0 by 1e-12 and the sum may miss 1 by 1e-9.
     """
-    pv = checked_vector(p, size, "probability vector")
+    pv = checked_vector(p.p if isinstance(p, StationaryState) else p, size, "probability vector")
     if not (pv.min() >= -1e-12 and abs(pv.sum() - 1.0) <= 1e-9):  # NaN and inf fail
         raise ValidationError("p must be a probability vector")
     return pv
@@ -406,12 +413,18 @@ def graph_walk(n: int, src: np.ndarray, dst: np.ndarray, roots=None) -> list[int
     return label
 
 
-def _object_columns(channels: Sequence[TransitionChannel]) -> tuple[list, list, list, list]:
-    """Channel objects as columns: from and to indices, rates, increment maps."""
+def _object_columns(channels: Sequence[TransitionChannel]) -> tuple[list, ...]:
+    """Channel objects as columns: from and to indices, reservoirs, filters, rates, increment maps."""
     return tuple(
         list(map(operator.attrgetter(name), channels))
-        for name in ("from_state", "to_state", "rate", "increments")
+        for name in ("from_state", "to_state", "reservoir", "filter", "rate", "increments")
     )
+
+
+def _numbered(keys) -> tuple[list[int], tuple]:
+    """Every key's number in first-appearance order, and the distinct keys in that order."""
+    index = {}
+    return [index.setdefault(key, len(index)) for key in keys], tuple(index)
 
 
 _NOT_NUMBERS = (str, bytes, bool, np.bool_)  # float() reads them, but a rate or an increment must be a number
@@ -440,7 +453,7 @@ def _flat_values(incs: Sequence[Mapping]) -> np.ndarray:
 _INDEX_TYPES = (int, np.integer)  # a state index is a Python or a numpy integer, and a number (not a bool)
 
 
-def _checked_arrays(states: tuple, records: tuple[str, ...], frm, to, rates, incs) -> ChannelArrays:
+def _checked_arrays(states: tuple, records: tuple, frm, to, reservoirs, filters, rates, incs) -> ChannelArrays:
     """Validate a network given by its channel columns; its ChannelArrays.
 
     The channel checks run once over the columns, with C-level builtins and
@@ -469,18 +482,19 @@ def _checked_arrays(states: tuple, records: tuple[str, ...], frm, to, rates, inc
             and min(min(frm), min(to)) >= 0
             and max(max(frm), max(to)) < len(states)
             and not any(map(operator.eq, frm, to))
+            and all(map(isinstance, chain(reservoirs, filters), repeat(str)))
             and _all_numbers(rates)
             and all(map(math.isfinite, rates))
             and min(rates) >= 0
             and np.isfinite(values).all()
         ):
-            return ChannelArrays.from_columns(records, frm, to, rates, incs, values)  # KeyError: undeclared record
-    except (LookupError, TypeError, ValueError, OverflowError, AttributeError):
+            return ChannelArrays.from_columns(records, frm, to, reservoirs, filters, rates, incs, values)
+    except (LookupError, TypeError, ValueError, OverflowError, AttributeError):  # KeyError: an undeclared record
         pass
-    _first_bad_channel(len(states), records, frm, to, rates, incs)
+    _first_bad_channel(len(states), records, frm, to, reservoirs, filters, rates, incs)
 
 
-def _first_bad_channel(n: int, records: tuple[str, ...], frm, to, rates, incs) -> None:
+def _first_bad_channel(n: int, records: tuple[str, ...], frm, to, reservoirs, filters, rates, incs) -> None:
     """Run the checks channel by channel and raise for the first failing one."""
     declared = set(records)
     for e, increments in enumerate(incs):
@@ -489,6 +503,9 @@ def _first_bad_channel(n: int, records: tuple[str, ...], frm, to, rates, incs) -
             raise ValidationError(f"channel {e}: state index must be an integer in [0, {n})")
         if frm[e] == to[e]:
             raise ValidationError(f"channel {e}: self-transition not allowed")
+        for what, label in (("reservoir", reservoirs[e]), ("filter", filters[e])):
+            if not isinstance(label, str):
+                raise ValidationError(f"channel {e}: {what} must be a string, got {label!r}")
         rate = checked_number(rates[e], f"channel {e}: rate")
         if not math.isfinite(rate) or rate < 0:
             raise ValidationError(f"channel {e}: rate must be finite and >= 0, got {rates[e]!r}")
@@ -593,7 +610,7 @@ def _entry_channels(entries: list, index: dict[str, int]) -> list[TransitionChan
             except (TypeError, ValueError, OverflowError):
                 raise ValidationError(f"channel {e}: increments must be numbers") from None
         channels.append(TransitionChannel(
-            index[frm], index[to], str(entry.get("reservoir", "")), rate, str(entry.get("filter", "")), incs
+            index[frm], index[to], entry.get("reservoir", ""), rate, entry.get("filter", ""), incs
         ))
     return channels
 
@@ -624,6 +641,14 @@ def serialize_network(net: ChannelNetwork) -> str:
 
 # ---------------------------------------------------------------------------
 # derived linear structure
+
+@dataclass(frozen=True)
+class StationaryState:
+    """Normalized null vector of an ergodic generator."""
+
+    p: np.ndarray
+    ergodic: bool
+
 
 @dataclass(frozen=True)
 class StateGenerator:

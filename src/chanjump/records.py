@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-
 import numpy as np
 
 from .errors import ValidationError
-from .network import ChannelNetwork, checked_probability, checked_vector, finite_fsum
+from .network import ChannelArrays, ChannelNetwork, checked_probability, checked_vector, finite_fsum
 
 __all__ = [
     "RecordInterval",
@@ -86,25 +84,24 @@ def mean_record(net: ChannelNetwork, p, mu: str) -> float:
     return finite_fsum(a.increments[row] * a.rate * pv[a.from_state], f"the mean of record {mu!r}")
 
 
-def _conjugate_fluxes(entries, pv: np.ndarray):
-    """Conjugate flux pairs (key, forward flux, backward flux) of (label, from, to, rate) entries.
+def _conjugate_fluxes(a: ChannelArrays, pv: np.ndarray):
+    """Conjugate flux pairs (key, forward flux, backward flux), group by group of ``a.conjugate``.
 
-    Entries are grouped by key = (*label, lo, hi), in first-appearance order,
-    and each direction's fluxes rate * p_from are summed exactly.  A group
-    with positive rate one way and no entry the other way is a ValidationError.
+    Each direction's fluxes rate * p_from are summed exactly.  A group with
+    positive rate one way and no channel the other way is a ValidationError.
     """
-    groups: dict[tuple, tuple[list[float], list[float]]] = {}
-    for label, frm, to, rate in entries:
-        key = (*label, frm, to) if frm < to else (*label, to, frm)
-        groups.setdefault(key, ([], []))[frm > to].append(rate)
-    p = pv.tolist()
-    for key, (fwd, bwd) in groups.items():
-        if not bwd and any(r > 0 for r in fwd):
+    slot = 2 * a.conjugate + (a.from_state > a.to_state)  # forward, then backward, per group
+    order = np.argsort(slot, kind="stable")
+    ends = np.cumsum(np.bincount(slot, minlength=2 * len(a.conjugate_keys))).tolist()
+    with np.errstate(over="ignore"):  # finite_fsum refuses a flux that overflows
+        flux = (a.rate * pv[a.from_state])[order].tolist()
+    rate = a.rate[order].tolist()
+    for key, lo, mid, hi in zip(a.conjugate_keys, [0] + ends[1:-1:2], ends[::2], ends[1::2]):
+        if mid == hi and max(rate[lo:mid]) > 0:
             raise ValidationError(f"channel group {key} has no reverse partner")
-        if not fwd and any(r > 0 for r in bwd):
+        if lo == mid and max(rate[mid:hi]) > 0:
             raise ValidationError(f"channel group {key} has no forward partner")
-        lo, hi = key[-2:]
-        yield key, finite_fsum(map(p[lo].__mul__, fwd), "a flux"), finite_fsum(map(p[hi].__mul__, bwd), "a flux")
+        yield key, finite_fsum(flux[lo:mid], "a flux"), finite_fsum(flux[mid:hi], "a flux")
 
 
 def _sigma(pairs) -> tuple[float, list]:
@@ -128,14 +125,15 @@ def entropy_production(net: ChannelNetwork, p) -> EntropyReport:
     """Entropy production rate at occupation p; ``coarse`` reads the generator's currents alone."""
     pv = checked_probability(p, net.n_states)
     a = net.arrays
-    # state indices and rates as Python ints and floats, whatever types the channels hold
-    labels = [(ch.reservoir, ch.filter) for ch in net.channels]
-    channels = zip(labels, a.from_state.tolist(), a.to_state.tolist(), a.rate.tolist())
-    resolved, inf_res = _sigma(_conjugate_fluxes(channels, pv))
-    # a transition with positive total and no reverse has a channel group without a partner, refused above
-    frm, to = a.pairs.T
-    transitions = zip(repeat(()), frm.tolist(), to.tolist(), net.generator.matrix[to, frm].tolist())
-    coarse, inf_coarse = _sigma(_conjugate_fluxes(transitions, pv))
+    resolved, inf_res = _sigma(_conjugate_fluxes(a, pv))
+    # each state pair once, in first-appearance order; a pair with positive rate one way
+    # and none back has a channel group without a partner, refused above
+    lo, hi = np.sort(a.pairs, axis=1).T
+    first = np.sort(np.unique(lo * net.n_states + hi, return_index=True)[1])
+    lo, hi, W = lo[first], hi[first], net.generator.matrix
+    with np.errstate(over="ignore"):  # finite_fsum refuses a flux that overflows
+        fluxes = zip(zip(lo.tolist(), hi.tolist()), (W[hi, lo] * pv[lo]).tolist(), (W[lo, hi] * pv[hi]).tolist())
+    coarse, inf_coarse = _sigma((t, finite_fsum((f,), "a flux"), finite_fsum((b,), "a flux")) for t, f, b in fluxes)
     bits = ["pairing: (reservoir, filter) with reversed transition"]
     if inf_res:
         bits.append(f"unidirectional resolved pairs: {inf_res}")
@@ -159,7 +157,7 @@ def record_interval(net: ChannelNetwork, u, a: dict[str, float]) -> RecordInterv
     channels, hi the largest; ties break toward the lowest channel index.
     """
     uv, transitions = _check_totals(net, u)
-    proj = net.arrays.weighted(net.record_rows(a), list(a.values()))
+    proj = net.arrays.weighted(net.record_rows(a), a)
     order = net.arrays.grouped.tolist()
     # min and max return the first extreme, so ties go to the lowest channel index
     emin = [min(order[lo:hi], key=proj.__getitem__) for lo, hi in net.arrays.spans]

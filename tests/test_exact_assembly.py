@@ -97,7 +97,7 @@ def _check_fields(net: ChannelNetwork, chi: Mapping[str, float]) -> None:
 
 def _tilt_factors(net: ChannelNetwork, chi: Mapping[str, float]) -> list[float]:
     """exp(chi . d_e) for every channel, refusing exponents that overflow."""
-    exponents = net.arrays.weighted([net.records.index(r) for r in chi], list(chi.values()))
+    exponents = net.arrays.weighted([net.records.index(r) for r in chi], chi)
     for x in exponents:
         if x > _MAX_EXPONENT:
             raise NumericalError(f"counting-field exponent {x:g} overflows; use smaller fields")

@@ -9,9 +9,10 @@ with the loader's message.  Increment values that float() reads but that are
 not numbers (strings, bools) are refused on both paths, as are such rates,
 and the Drazin inverse refuses a p that is not the generator's stationary
 state.  REFUSED lists inputs that are not what they claim to be (a bool
-state index or initial state, string or non-finite weights, a dot with a
-fractional level, a repeated coupling or a string gamma), and BRANCHES one
-case for each check or fallback that no other test reaches.
+state index or initial state, string or non-finite weights, a reservoir or
+filter label that is not a string, a dot with a fractional level, a
+repeated coupling, a string gamma or an entry of the wrong shape), and
+BRANCHES one case for each check or fallback that no other test reaches.
 """
 
 from __future__ import annotations
@@ -229,6 +230,13 @@ def test_an_int_rate_is_a_number():
     assert two_state_network(np.int64(3)).arrays.rate.tolist() == [3.0, 1.0]
 
 
+def test_every_probability_argument_takes_the_stationary_state_itself():
+    net = build_dot(SPEC)
+    assert mean_record(net, net.stationary, "heat_L") == mean_record(net, net.stationary.p, "heat_L")
+    assert entropy_production(net, net.stationary) == entropy_production(net, net.stationary.p)
+    assert drazin_inverse(net.generator, net.stationary).tobytes() == drazin_inverse(net.generator, net.stationary.p).tobytes()
+
+
 def test_drazin_inverse_accepts_the_stationary_state():
     net = build_dot(SPEC)
     for p in (net.stationary.p, dot_stationary(dot_totals(SPEC))):
@@ -258,6 +266,12 @@ def simulate_from(initial):
     return simulate(build_dot(SPEC), SimConfig(n_trajectories=1, seed=0, t_max=1.0, initial=initial))
 
 
+def labelled_document(**labels) -> str:
+    """A two-state model file whose second channel has the given reservoir and filter labels."""
+    channels = [{"from": "a", "to": "b", "reservoir": "r", "rate": 1.0}, {"from": "b", "to": "a", "rate": 1.0, **labels}]
+    return json.dumps({"states": ["a", "b"], "records": [], "channels": channels})
+
+
 REPEATED = json.loads(dot_document())
 REPEATED["dot"]["couplings"].append(REPEATED["dot"]["couplings"][0])
 
@@ -275,16 +289,23 @@ REFUSED = {
     ),
     "record_interval/string weight": (
         lambda: record_interval(build_dot(SPEC), [1.0, 1.0], {"heat_L": "1"}),
-        "weight '1' must be a number",
+        "weight of record 'heat_L' must be a number",
     ),
-    "scgf/string field": (lambda: scgf(build_dot(SPEC), {"heat_L": "0.1"}), "weight '0.1' must be a number"),
+    "scgf/string field": (
+        lambda: scgf(build_dot(SPEC), {"heat_L": "0.1"}),
+        "weight of record 'heat_L' must be a number",
+    ),
     "tilted_generator/NaN field": (
-        lambda: tilted_generator(build_dot(SPEC), {"heat_L": math.nan}),
-        "weights must be finite, got [nan]",
+        lambda: tilted_generator(build_dot(SPEC), {"heat_R": 0.5, "heat_L": math.nan}),
+        "weight of record 'heat_L' must be finite, got nan",
     ),
     "tilted_generator/bool field": (
         lambda: tilted_generator(build_dot(SPEC), {"heat_L": True}),
-        "weight True must be a number",
+        "weight of record 'heat_L' must be a number",
+    ),
+    "tilted_generator/int past the largest double": (
+        lambda: tilted_generator(build_dot(SPEC), {"heat_L": 10**400}),
+        "weight of record 'heat_L' is too large for a float",
     ),
     "DotSpec/string gamma": (lambda: dot_spec(gamma="2.5"), "coupling (0, 'L', ''): gamma must be a number"),
     "DotSpec/None gamma": (lambda: dot_spec(gamma=None), "coupling (0, 'L', ''): gamma must be a number"),
@@ -318,6 +339,30 @@ REFUSED = {
     "dot/NaN T": (
         lambda: load_network(dot_document(reservoirs=[{"name": "L", "mu": 0.5, "T": math.nan}])),
         "malformed 'dot' description: reservoir 'L' needs a finite mu and temperature > 0",
+    ),
+    "dot/coupling without gamma": (
+        lambda: load_network(dot_document(couplings=[{"level": 0, "reservoir": "L"}])),
+        "malformed 'dot' description: coupling 0 has no 'gamma'",
+    ),
+    "dot/reservoir an array": (
+        lambda: load_network(dot_document(reservoirs=[["L", 0.5, 1.0]])),
+        "malformed 'dot' description: reservoir 0 must be an object",
+    ),
+    "load_network/reservoir a number": (
+        lambda: load_network(labelled_document(reservoir=5)),
+        "channel 1: reservoir must be a string, got 5",
+    ),
+    "load_network/filter null": (
+        lambda: load_network(labelled_document(filter=None)),
+        "channel 1: filter must be a string, got None",
+    ),
+    "ChannelNetwork/reservoir None": (
+        lambda: ChannelNetwork(("a", "b"), (TransitionChannel(0, 1, "r", 1.0), TransitionChannel(1, 0, None, 1.0)), ()),
+        "channel 1: reservoir must be a string, got None",
+    ),
+    "ChannelNetwork/filter a number": (
+        lambda: ChannelNetwork(("a", "b"), (TransitionChannel(0, 1, "r", 1.0, 2.5), TransitionChannel(1, 0, "r", 1.0)), ()),
+        "channel 0: filter must be a string, got 2.5",
     ),
 }
 

@@ -4,10 +4,13 @@
 array building of the earlier ``ChannelNetwork``), kept as it was apart from
 the names it builds.  Every document must give either an equal network (the
 same states, records, channels with their increment key order, and every
-``arrays`` field bit for bit) or the same ValidationError message.  One
-difference is intended: the loader refuses string and bool increment values,
-which the reference reads with float(), so a document holding one is compared
-with the reference on a copy where such values are None.
+``arrays`` field bit for bit) or the same ValidationError message.  Two
+differences are intended.  The loader refuses string and bool increment
+values, which the reference reads with float(), so a document holding one is
+compared with the reference on a copy where such values are None.  And a
+reservoir or filter label must be a string: the reference keeps labels as
+given and refuses one that is not a string with the loader's message, and a
+document holding one must be refused.
 """
 
 from __future__ import annotations
@@ -62,6 +65,9 @@ def _validate(net) -> None:
             raise ValidationError(f"channel {e}: state index out of range")
         if ch.from_state == ch.to_state:
             raise ValidationError(f"channel {e}: self-transition not allowed")
+        for what, label in (("reservoir", ch.reservoir), ("filter", ch.filter)):
+            if not isinstance(label, str):
+                raise ValidationError(f"channel {e}: {what} must be a string, got {label!r}")
         if not math.isfinite(ch.rate) or ch.rate < 0:
             raise ValidationError(f"channel {e}: rate must be finite and >= 0, got {ch.rate!r}")
         for key, val in ch.increments.items():
@@ -131,9 +137,9 @@ def _reference_load(document):
             TransitionChannel(
                 from_state=index[frm],
                 to_state=index[to],
-                reservoir=str(entry.get("reservoir", "")),
+                reservoir=entry.get("reservoir", ""),
                 rate=rate,
-                filter=str(entry.get("filter", "")),
+                filter=entry.get("filter", ""),
                 increments=incs,
             )
         )
@@ -150,6 +156,10 @@ def _reference_arrays(net) -> ChannelArrays:
         for rec, val in ch.increments.items():
             increments[r_index[rec], e] = float(val)
     counts = np.bincount(transition, minlength=len(t_index))
+    c_index: dict[tuple, int] = {}
+    conjugate = [
+        c_index.setdefault((ch.reservoir, ch.filter, *sorted((ch.from_state, ch.to_state))), len(c_index)) for ch in chs
+    ]
     arrays = (
         np.array([ch.from_state for ch in chs], dtype=np.intp),
         np.array([ch.to_state for ch in chs], dtype=np.intp),
@@ -159,9 +169,11 @@ def _reference_arrays(net) -> ChannelArrays:
         counts,
         np.argsort(transition, kind="stable"),
         np.array(list(t_index), dtype=np.intp),
+        np.array(conjugate, dtype=np.intp),
     )
     ends = np.cumsum(counts).tolist()
-    return ChannelArrays(*arrays, transitions=tuple(t_index), spans=tuple(zip([0] + ends[:-1], ends)))
+    spans = tuple(zip([0] + ends[:-1], ends))
+    return ChannelArrays(*arrays, transitions=tuple(t_index), spans=spans, conjugate_keys=tuple(c_index))
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +252,14 @@ def _numbers_refused(doc):
     return {**doc, "channels": channels}
 
 
+def _labels_refused(doc) -> bool:
+    """Whether some channel entry of doc holds a reservoir or filter label that is not a string."""
+    entries = doc.get("channels") if isinstance(doc.get("channels"), list) else []
+    return any(
+        not isinstance(entry.get(key, ""), str) for entry in entries if isinstance(entry, dict) for key in ("reservoir", "filter")
+    )
+
+
 def _outcome(load, document):
     try:
         return load(document), None
@@ -267,8 +287,8 @@ def test_columnar_loader_matches_the_per_channel_loader(doc, as_text):
     refused = _numbers_refused(doc)
     document, reference = (json.dumps(doc), json.dumps(refused)) if as_text else (doc, refused)
     (net, error), (ref, ref_error) = _outcome(load_network, document), _outcome(_reference_load, reference)
-    if refused != doc:  # a string or bool increment value is refused, or an earlier fault named
-        assert error is not None
+    if refused != doc or _labels_refused(doc):  # a string or bool increment value or a label that is not a string
+        assert error is not None  # is refused, or an earlier fault named
     assert error == ref_error
     if ref is not None:
         _assert_same_network(net, ref)

@@ -13,6 +13,12 @@ reservoir and filter, reversed transition):
   entropy production (Barato and Seifert, PRL 114, 158101 (2015); Gingrich
   et al., PRL 116, 120601 (2016)).
 
+Both entropy rates pair channels through the conjugate-group index of
+``net.arrays``; metamorphic tests check that the index sees only the
+grouping: renaming labels one to one, or splitting a channel into two
+halves with its label, changes no bit of either rate, and permuting the
+channels changes them only by rounding.
+
 The TUR needs the resolved sigma: on the twin dot the coarse, state-level
 sigma is 0 while charge flows, so the bound with it fails.  That failure is
 the paper's incompleteness seen through the TUR: the state dynamics alone
@@ -106,3 +112,50 @@ def test_the_tur_fails_with_the_coarse_entropy_on_the_twin():
         assert abs(entropy.coarse) <= 1e-30  # 0 up to the rounding of the two currents
         assert S_charge * entropy.coarse < 2 * J_charge**2  # the bound fails with the coarse sigma
         assert S_charge * entropy.resolved >= 2 * J_charge**2  # and holds with the resolved one
+
+
+def _channel_tuples(net) -> list[tuple]:
+    return [(ch.from_state, ch.to_state, ch.reservoir, ch.rate, ch.filter, dict(ch.increments)) for ch in net.channels]
+
+
+def _entropy_bits(net) -> tuple[str, str]:
+    entropy = entropy_production(net, net.stationary)
+    return entropy.resolved.hex(), entropy.coarse.hex()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_renaming_reservoirs_and_filters_one_to_one_changes_no_bit_of_the_entropy(seed):
+    net = _paired_network(seed)
+    rng = np.random.default_rng(seed)
+    reservoirs = sorted({ch.reservoir for ch in net.channels})
+    rename = dict(zip(reservoirs, (f"bath{k}" for k in rng.permutation(len(reservoirs)))))
+    refilter = {"": "f", "f": ""}  # the two filters swap names
+    channels = [(i, j, rename[res], w, refilter[filt], d) for i, j, res, w, filt, d in _channel_tuples(net)]
+    renamed = make_network(net.states, channels, net.records)
+    assert _entropy_bits(renamed) == _entropy_bits(net)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_splitting_a_channel_into_two_halves_changes_no_bit_of_the_entropy(seed):
+    net = _paired_network(seed)
+    channels = _channel_tuples(net)
+    e = int(np.random.default_rng(seed).integers(len(channels)))
+    i, j, res, w, filt, d = channels[e]
+    channels[e] = (i, j, res, w / 2, filt, d)  # halving a rate is exact
+    split = make_network(net.states, channels + [(i, j, res, w / 2, filt, dict(d))], net.records)
+    assert split.generator.matrix.tobytes() == net.generator.matrix.tobytes()
+    assert _entropy_bits(split) == _entropy_bits(net)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_permuting_the_channels_changes_the_entropy_only_by_rounding(seed):
+    net = _paired_network(seed)
+    channels = _channel_tuples(net)
+    order = np.random.default_rng(seed).permutation(len(channels))
+    permuted = make_network(net.states, [channels[k] for k in order], net.records)
+    before, after = entropy_production(net, net.stationary), entropy_production(permuted, permuted.stationary)
+    for old, new in ((before.resolved, after.resolved), (before.coarse, after.coarse)):
+        assert abs(new - old) <= 1e-12 * max(1.0, abs(old)), (old, new)
