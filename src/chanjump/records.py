@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ValidationError
@@ -96,12 +97,12 @@ def _conjugate_fluxes(a: ChannelArrays, pv: np.ndarray):
     with np.errstate(over="ignore"):  # finite_fsum refuses a flux that overflows
         flux = (a.rate * pv[a.from_state])[order].tolist()
     rate = a.rate[order].tolist()
-    for key, lo, mid, hi in zip(a.conjugate_keys, [0] + ends[1:-1:2], ends[::2], ends[1::2]):
-        if mid == hi and max(rate[lo:mid]) > 0:
+    for key, start, mid, end in zip(a.conjugate_keys, [0] + ends[1:-1:2], ends[::2], ends[1::2]):
+        if mid == end and max(rate[start:mid]) > 0:
             raise ValidationError(f"channel group {key} has no reverse partner")
-        if lo == mid and max(rate[mid:hi]) > 0:
+        if start == mid and max(rate[mid:end]) > 0:
             raise ValidationError(f"channel group {key} has no forward partner")
-        yield key, finite_fsum(flux[lo:mid], "a flux"), finite_fsum(flux[mid:hi], "a flux")
+        yield key, finite_fsum(flux[start:mid], "a flux"), finite_fsum(flux[mid:end], "a flux")
 
 
 def _sigma(pairs) -> tuple[float, list]:
