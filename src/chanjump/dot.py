@@ -14,18 +14,20 @@ the heat entering r, and sign to ``charge_r``, the electrons gained by r;
 The state dynamics of the dot depends only on the per-level totals of the
 entering and leaving rates, which is why ``make_twin`` can shift rate
 between two reservoirs and leave the state generator exactly unchanged.
+``make_twin`` finds the two entering channels and makes one call to
+``network.shift_rate``, which keeps the transition's ``fsum`` total's bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .network import ChannelNetwork, TransitionChannel, build_generator, checked_number, checked_vector
+from .network import ChannelNetwork, TransitionChannel, build_generator, checked_number, checked_vector, shift_rate
 from .records import RecordInterval
 
 __all__ = [
@@ -199,50 +201,17 @@ def dot_relaxation_matrix(totals: DotTotals) -> np.ndarray:
     return A
 
 
-def _rebalanced_rates(rates: Sequence[float], er: int, es: int, eta: float) -> tuple[float, float]:
-    """New rates for channels er (gains eta) and es (loses eta) such that the
-    correctly rounded total over ``rates`` is bitwise unchanged.
-
-    The ideal shifted pair rarely preserves the rounded total exactly, so the
-    losing rate is recentered on the ``fsum`` of total - others - a2 and
-    nudged by at most a couple of ulps; the deviation from rates[es] - eta is
-    below roundoff of the total.
-    """
-    total = math.fsum(rates)
-    rest = [-r for k, r in enumerate(rates) if k not in (er, es)]
-    a2_seed = rates[er] + eta
-    for a2 in (a2_seed, math.nextafter(a2_seed, math.inf), math.nextafter(a2_seed, -math.inf)):
-        if a2 < 0:
-            continue
-        center = math.fsum([total, -a2, *rest])
-        candidates = [center]
-        up = down = center
-        for _ in range(3):
-            up = math.nextafter(up, math.inf)
-            down = math.nextafter(down, -math.inf)
-            candidates.extend((up, down))
-        candidates.append(0.0)
-        for b2 in candidates:
-            if b2 < 0:
-                continue
-            trial = list(rates)
-            trial[er], trial[es] = a2, b2
-            if math.fsum(trial) == total:
-                return a2, b2
-    raise NumericalError("could not rebalance rates while preserving the generator")
-
-
 def make_twin(
     net: ChannelNetwork, level: int, gain_res: str, lose_res: str, eta: float
 ) -> ChannelNetwork:
     """Shift entering rate eta between two reservoirs of one level.
 
-    The twin has the gain reservoir's entering channel at rate + eta and the
-    losing one at rate - eta (up to an ulp-level rebalance), leaving the
-    assembled state generator bitwise identical.  With reservoirs at
-    different chemical potentials the twin's heat records differ.  When a
-    reservoir contacts the level through several filters, the lowest-index
-    channel is shifted.
+    The twin is ``shift_rate`` from the losing reservoir's entering channel to
+    the gain reservoir's: rate + eta and rate - eta up to an ulp-level
+    rebalance, with the assembled state generator bitwise identical.  With
+    reservoirs at different chemical potentials the twin's heat records
+    differ.  When a reservoir contacts the level through several filters, the
+    lowest-index channel is shifted.
     """
     to_state = level + 1
     if not (0 <= to_state < net.n_states):
@@ -257,20 +226,7 @@ def make_twin(
         raise ValidationError(f"no entering channel for level {level} via {lose_res!r}")
     if er == es:
         raise ValidationError("gain and lose reservoirs must differ")
-    rate_r = net.channels[er].rate
-    rate_s = net.channels[es].rate
-    if not -rate_r <= eta <= rate_s:  # NaN fails too
-        raise ValidationError(
-            f"eta {eta:g} out of range; must keep rates in [{-rate_r:g}, {rate_s:g}] nonnegative"
-        )
-    if eta == 0.0:
-        return net
-    rates = [net.channels[e].rate for e in members]
-    new_r, new_s = _rebalanced_rates(rates, members.index(er), members.index(es), eta)
-    channels = list(net.channels)
-    channels[er] = replace(channels[er], rate=new_r)
-    channels[es] = replace(channels[es], rate=new_s)
-    return ChannelNetwork(states=net.states, channels=tuple(channels), records=net.records)
+    return shift_rate(net, er, es, eta)
 
 
 def dot_heat_bounds(
@@ -338,12 +294,16 @@ def dot_spec_from_document(obj: dict) -> DotSpec:
         reservoirs = tuple(Reservoir(*r) for r in _fields(obj["reservoirs"], "reservoir", ("name", "mu", "T")))
         couplings = _fields(obj["couplings"], "coupling", ("level", "reservoir", "gamma"))
         keys = [(level, r, c.get("filter", "")) for (level, r, _), c in zip(couplings, obj["couplings"])]
+        for k, key in enumerate(keys):  # each key part must be hashable: a JSON array or object is not
+            for name, value in zip(("level", "reservoir", "filter"), key):
+                if isinstance(value, (list, dict)):
+                    raise ValidationError(f"coupling {k}: {name!r} must not be an array or an object, got {value!r}")
         spec = DotSpec(tuple(obj["levels"]), reservoirs, dict(zip(keys, [gamma for *_, gamma in couplings])))
         if len(spec.couplings) < len(keys):  # the keys passed DotSpec's type checks, so == tells them apart
             repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
             raise ValidationError(f"coupling {repeated} appears twice")
         return spec
-    except (TypeError, ValidationError) as exc:  # TypeError: a level or reservoir that cannot be a key
+    except ValidationError as exc:
         raise ValidationError(f"malformed 'dot' description: {exc}") from exc
 
 

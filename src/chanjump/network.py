@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Mapping, Sequence
@@ -223,6 +223,14 @@ class ChannelArrays:
         """X (r x E) minus its per-transition column means: X projected onto ker P."""
         means = self.sum_by(X, self.transition, len(self.counts)) / self.counts
         return X - means[:, self.transition]
+
+    @cached_property
+    def conjugate_slots(self) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+        """The channels sorted by conjugate group, forward before backward (from_state > to_state) within one,
+        and each group's (start, mid, end) in that order; built once per network, on first use."""
+        slot = 2 * self.conjugate + (self.from_state > self.to_state)
+        ends = np.cumsum(np.bincount(slot, minlength=2 * len(self.conjugate_keys))).tolist()
+        return np.argsort(slot, kind="stable"), list(zip([0] + ends[1:-1:2], ends[::2], ends[1::2]))
 
     @cached_property
     def _slices(self) -> list[slice]:
@@ -704,6 +712,38 @@ def build_generator(net: ChannelNetwork) -> StateGenerator:
     L.flat[:: n + 1] = [-x for x in escape]
     L.flags.writeable = False
     return StateGenerator(matrix=L)
+
+
+def shift_rate(net: ChannelNetwork, gain: int, lose: int, eta: float) -> ChannelNetwork:
+    """Move rate eta from channel ``lose`` to channel ``gain`` of the same transition; the new network.
+
+    ``gain`` gets rate + eta or one ulp off it, and ``lose`` the transition total minus the other rates, rounded
+    once (within half an ulp of what works), one ulp off that or 0: whichever keeps the transition's ``fsum`` total,
+    and with it ``build_generator``, bit for bit.  eta == 0 returns ``net``.
+    """
+    a = net.arrays
+    for e in (gain, lose):
+        if not (isinstance(e, _INDEX_TYPES) and _all_numbers((e,)) and 0 <= e < net.n_channels):
+            raise ValidationError(f"channel index must be an integer in [0, {net.n_channels}), got {e!r}")
+    if gain == lose or a.transition[gain] != a.transition[lose]:
+        raise ValidationError(f"gain {gain} and lose {lose} must be two channels of one transition")
+    eta = checked_number(eta, "eta")
+    rate_g, rate_l = a.rate[[gain, lose]].tolist()
+    if not -rate_g <= eta <= rate_l:  # NaN fails too
+        raise ValidationError(f"eta {eta:g} out of range; must keep rates in [{-rate_g:g}, {rate_l:g}] nonnegative")
+    if eta == 0.0:
+        return net
+    members = a.grouped[slice(*a.spans[a.transition[gain]])].tolist()
+    others = [r for e, r in zip(members, a.rate[members].tolist()) if e not in (gain, lose)]
+    total, seed = math.fsum([rate_g, rate_l, *others]), rate_g + eta
+    for g in (seed, math.nextafter(seed, math.inf), math.nextafter(seed, -math.inf)):
+        center = math.fsum([total, -g, *map(operator.neg, others)])
+        for l in (center, math.nextafter(center, math.inf), math.nextafter(center, -math.inf), 0.0):
+            if min(g, l) >= 0 and math.fsum([g, l, *others]) == total:
+                channels = list(net.channels)
+                channels[gain], channels[lose] = replace(channels[gain], rate=g), replace(channels[lose], rate=l)
+                return ChannelNetwork(net.states, tuple(channels), net.records)
+    raise NumericalError("could not rebalance rates while preserving the generator")
 
 
 def build_projection(net: ChannelNetwork) -> ProjectionPair:

@@ -91,13 +91,11 @@ def _conjugate_fluxes(a: ChannelArrays, pv: np.ndarray):
     Each direction's fluxes rate * p_from are summed exactly.  A group with
     positive rate one way and no channel the other way is a ValidationError.
     """
-    slot = 2 * a.conjugate + (a.from_state > a.to_state)  # forward, then backward, per group
-    order = np.argsort(slot, kind="stable")
-    ends = np.cumsum(np.bincount(slot, minlength=2 * len(a.conjugate_keys))).tolist()
+    order, slots = a.conjugate_slots
     with np.errstate(over="ignore"):  # finite_fsum refuses a flux that overflows
         flux = (a.rate * pv[a.from_state])[order].tolist()
     rate = a.rate[order].tolist()
-    for key, start, mid, end in zip(a.conjugate_keys, [0] + ends[1:-1:2], ends[::2], ends[1::2]):
+    for key, (start, mid, end) in zip(a.conjugate_keys, slots):
         if mid == end and max(rate[start:mid]) > 0:
             raise ValidationError(f"channel group {key} has no reverse partner")
         if start == mid and max(rate[mid:end]) > 0:
@@ -124,7 +122,7 @@ def _sigma(pairs) -> tuple[float, list]:
 
 def entropy_production(net: ChannelNetwork, p) -> EntropyReport:
     """Entropy production rate at occupation p; ``coarse`` reads the generator's currents alone."""
-    pv = checked_probability(p, net.n_states)
+    pv = np.maximum(checked_probability(p, net.n_states), 0.0)  # an entry let through below 0 reads as 0
     a = net.arrays
     resolved, inf_res = _sigma(_conjugate_fluxes(a, pv))
     # each state pair once, in first-appearance order; a pair with positive rate one way

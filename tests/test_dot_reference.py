@@ -4,8 +4,9 @@
 entering and leaving directions out separately, and
 ``_reference_rebalanced_rates`` finds its target with exact rationals; all
 three are kept as they were apart from their names.  The one-loop-per-direction
-builder, the signed-increment bounds and the ``fsum`` target must agree with
-them bit for bit, ties and signed zeros included.
+builder, the signed-increment bounds and the ``fsum`` target of
+``network.shift_rate`` (which ``make_twin`` calls) must agree with them bit
+for bit, ties and signed zeros included.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from chanjump import (
     dot_heat_bounds,
     dot_totals,
 )
-from chanjump.dot import _level_contacts, _rebalanced_rates, fermi
-from chanjump.network import ChannelArrays, checked_vector
+from chanjump.dot import _level_contacts, fermi
+from chanjump.network import ChannelArrays, checked_vector, shift_rate
 from chanjump.records import RecordInterval
 
 
@@ -205,10 +206,23 @@ def test_the_fsum_rebalance_target_matches_the_rational_one(rates, data):
     lo, hi = -rates[er], rates[es]
     eta = data.draw(st.sampled_from([lo, hi]) | st.floats(lo, hi))
 
+    # one transition a -> b carrying the rates, and one channel back
+    channels = tuple(TransitionChannel(0, 1, f"r{k}", r) for k, r in enumerate(rates))
+    net = ChannelNetwork(("a", "b"), channels + (TransitionChannel(1, 0, "r0", 1.0),), ())
+    if eta == 0.0:
+        assert shift_rate(net, er, es, eta) is net
+        return
+
     def outcome(rebalance):
         try:
             return rebalance(rates, er, es, eta)
         except NumericalError as exc:
             return str(exc)
 
-    assert repr(outcome(_rebalanced_rates)) == repr(outcome(_reference_rebalanced_rates))
+    def shifted(rates, er, es, eta):
+        twin = shift_rate(net, er, es, eta)
+        untouched = [k for k in range(len(twin.channels)) if k not in (er, es)]
+        assert [twin.channels[k] for k in untouched] == [net.channels[k] for k in untouched]
+        return twin.channels[er].rate, twin.channels[es].rate
+
+    assert repr(outcome(shifted)) == repr(outcome(_reference_rebalanced_rates))

@@ -2,24 +2,31 @@
 
 A vector c of channel-flux changes applied at occupation p is the rate change
 c / p_from, so ``first_order_record_change(net, c / p[from], p, mu)`` must
-equal ``(D c)[mu]``, the record image that the verdicts report.
+equal ``(D c)[mu]``, the record image that the verdicts report.  Applied as
+``network.shift_rate`` moves, a flux change t f along a basis vector f of
+ker P keeps the generator bit for bit and moves every record mean by t D f.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanjump import (
     build_dot,
+    build_generator,
     build_record_map,
     completeness_test,
     first_order_record_change,
     generator_preserving_basis,
+    mean_record,
     predictability_test,
     remaining_kernel,
     twin_dot_spec,
 )
+from chanjump.network import shift_rate
 
 from conftest import P0, P1, random_network
 
@@ -65,3 +72,25 @@ def test_twin_remaining_vector_moves_the_measured_record_only_when_read_as_a_rat
     as_flux = first_order_record_change(net, c / p[net.arrays.from_state], p, "charge_L")
     assert abs(as_rate) == pytest.approx((P0 - P1) / 2, rel=1e-12)
     assert abs(as_flux) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), sign=st.sampled_from([1.0, -1.0]))
+def test_shifts_along_a_kernel_vector_keep_the_generator_and_move_means_by_d_f(seed, sign):
+    net = random_network(np.random.default_rng(seed), n_records=3)
+    a, p = net.arrays, net.stationary.p
+    p_from = p[a.from_state]
+    L = build_generator(net).matrix
+    D = build_record_map(net, net.records).D
+    # each channel moves by at most half its rate, so every shift keeps the rates nonnegative
+    t = sign * 0.5 * float((a.rate * p_from).min())
+    for f in generator_preserving_basis(net).vectors.T:
+        lose, gains = int(np.argmin(f)), np.flatnonzero(f > 0).tolist()  # a Helmert vector: one entry below 0
+        moved = net
+        for gain in gains:
+            moved = shift_rate(moved, gain, lose, t * f[gain] / p_from[gain])
+        assert build_generator(moved).matrix.tobytes() == L.tobytes()
+        for mu, record in enumerate(net.records):
+            change = mean_record(moved, p, record) - mean_record(net, p, record)
+            scale = np.abs(D[mu]) @ (a.rate * p_from) + abs(t) * np.abs(D[mu]) @ np.abs(f)
+            assert abs(change - t * (D[mu] @ f)) <= 1e-12 * scale

@@ -11,8 +11,10 @@ and the Drazin inverse refuses a p that is not the generator's stationary
 state.  REFUSED lists inputs that are not what they claim to be (a bool
 state index or initial state, string or non-finite weights, a reservoir or
 filter label that is not a string, a dot with a fractional level, a
-repeated coupling, a string gamma or an entry of the wrong shape), and
-BRANCHES one case for each check or fallback that no other test reaches.
+repeated coupling, a string gamma, an entry of the wrong shape or a
+coupling key given as an array or object) and each input check of
+``shift_rate``, and BRANCHES one case for each check or fallback that no
+other test reaches.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from chanjump import (
 )
 from chanjump.cli import cmd_bounds
 from chanjump.dot import dot_spec_from_document
+from chanjump.network import shift_rate
 
 # the twin dot: N = 2 states, E = 4 channels, E0 = 2 transitions
 SPEC = twin_dot_spec()
@@ -363,6 +366,56 @@ REFUSED = {
     "ChannelNetwork/filter a number": (
         lambda: ChannelNetwork(("a", "b"), (TransitionChannel(0, 1, "r", 1.0, 2.5), TransitionChannel(1, 0, "r", 1.0)), ()),
         "channel 0: filter must be a string, got 2.5",
+    ),
+    "dot/level an array": (
+        lambda: load_network(dot_document(level=[0])),
+        "malformed 'dot' description: coupling 0: 'level' must not be an array or an object, got [0]",
+    ),
+    "dot/reservoir of a coupling an array": (
+        lambda: load_network(dot_document(reservoir=["L"])),
+        "malformed 'dot' description: coupling 0: 'reservoir' must not be an array or an object, got ['L']",
+    ),
+    "dot/filter an object": (
+        lambda: load_network(dot_document(filter={"x": 1})),
+        "malformed 'dot' description: coupling 0: 'filter' must not be an array or an object, got {'x': 1}",
+    ),
+    # shift_rate's input checks, on the twin dot: channels 0 and 1 enter the level, 2 and 3 leave it
+    "shift_rate/bool index": (
+        lambda: shift_rate(build_dot(SPEC), True, 1, 0.1),
+        "channel index must be an integer in [0, 4), got True",
+    ),
+    "shift_rate/float index": (
+        lambda: shift_rate(build_dot(SPEC), 0.0, 1, 0.1),
+        "channel index must be an integer in [0, 4), got 0.0",
+    ),
+    "shift_rate/index past the channels": (
+        lambda: shift_rate(build_dot(SPEC), 0, 4, 0.1),
+        "channel index must be an integer in [0, 4), got 4",
+    ),
+    "shift_rate/negative index": (
+        lambda: shift_rate(build_dot(SPEC), -1, 1, 0.1),
+        "channel index must be an integer in [0, 4), got -1",
+    ),
+    "shift_rate/gain is lose": (
+        lambda: shift_rate(build_dot(SPEC), 1, 1, 0.1),
+        "gain 1 and lose 1 must be two channels of one transition",
+    ),
+    "shift_rate/two transitions": (
+        lambda: shift_rate(build_dot(SPEC), 0, 2, 0.1),
+        "gain 0 and lose 2 must be two channels of one transition",
+    ),
+    "shift_rate/string eta": (lambda: shift_rate(build_dot(SPEC), 0, 1, "0.1"), "eta must be a number"),
+    "shift_rate/NaN eta": (
+        lambda: shift_rate(build_dot(SPEC), 0, 1, math.nan),
+        "eta nan out of range; must keep rates in [-0.377541, 0.182426] nonnegative",
+    ),
+    "shift_rate/eta past the losing rate": (
+        lambda: shift_rate(build_dot(SPEC), 0, 1, 0.5),
+        "eta 0.5 out of range; must keep rates in [-0.377541, 0.182426] nonnegative",
+    ),
+    "shift_rate/eta past the gaining rate": (
+        lambda: shift_rate(build_dot(SPEC), 0, 1, -0.4),
+        "eta -0.4 out of range; must keep rates in [-0.377541, 0.182426] nonnegative",
     ),
 }
 

@@ -122,6 +122,15 @@ def test_entropy_zero_rate_conjugate_gives_inf_sentinel():
     assert "unidirectional" in rep.note
 
 
+def test_entropy_reads_an_entry_admitted_below_zero_as_zero():
+    # checked_probability admits entries down to -1e-12; a negative flux has no logarithm
+    net = make_network(["a", "b"], [(0, 1, "r", 1.0), (1, 0, "r", 1.0)], [])
+    rep = entropy_production(net, [1 + 5e-13, -5e-13])
+    assert rep == entropy_production(net, [1 + 5e-13, 0.0])
+    assert math.isinf(rep.resolved) and math.isinf(rep.coarse)
+    assert "unidirectional" in rep.note
+
+
 def test_entropy_mismatched_labels_error():
     # reverse transition exists but under a different reservoir label
     net = make_network(["a", "b"], [(0, 1, "r", 1.0), (1, 0, "s", 1.0)], [])
