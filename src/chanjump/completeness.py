@@ -216,9 +216,9 @@ def quotient_form(net: ChannelNetwork, R_inv=None) -> QuotientForm:
     R_inv is the diagonal channel-current covariance, by default the
     stationary traffic rate_e * p_from(e) (independent Poisson; positive on
     every channel), whose per-transition sums are the generator's stationary
-    totals u, so Q = diag(1/u).  A supplied R_inv (a positive diagonal, as a
-    vector or a diagonal matrix) is summed per transition, P R_inv P^T; as in
-    a pseudoinverse at rcond 1e-10, a sum at most 1e-10 times the largest gives 0.
+    totals u, so Q = diag(1/u).  A supplied R_inv (a finite positive diagonal,
+    as a vector or a matrix) is summed per transition, P R_inv P^T; as in a
+    pseudoinverse at rcond 1e-10, a sum at most 1e-10 times the largest gives 0.
     """
     e = net.n_channels
     arrays = net.arrays
@@ -229,18 +229,19 @@ def quotient_form(net: ChannelNetwork, R_inv=None) -> QuotientForm:
             )
         g, source = stationary_transition_totals(net), "stationary_traffic"
     else:
-        A = np.asarray(R_inv, dtype=float)
+        A = R_inv if isinstance(R_inv, np.ndarray) else np.array(R_inv, dtype=object)  # keeps entry types
         if A.ndim == 2:
+            A = checked_vector(A.ravel(), A.size, "R_inv").reshape(A.shape)
             if A.shape != (e, e) or np.any(A != np.diag(np.diag(A))):
                 raise ValidationError("R_inv must be diagonal of size E x E")
-            diag = np.diag(A).copy()
+            diag = np.diag(A)
         elif A.ndim == 1 and A.size == e:
-            diag = A.copy()
+            diag = checked_vector(A, e, "R_inv")
         else:
             raise ValidationError(f"R_inv must be a length-{e} diagonal")
         source = "user_supplied"
-        if not np.all(diag > 0):
-            raise ValidationError("R_inv diagonal must be strictly positive")
+        if not np.all((diag > 0) & (diag < np.inf)):
+            raise ValidationError("R_inv diagonal must be finite and strictly positive")
         g = ChannelArrays.sum_by(diag[None, :], arrays.transition, len(arrays.counts))[0]
     kept = g > DEFAULT_TOL * g.max()
     Q = np.diag(np.divide(1.0, g, out=np.zeros_like(g), where=kept))

@@ -27,7 +27,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .network import ChannelNetwork, TransitionChannel, build_generator, checked_number, checked_vector, shift_rate
+from .network import (
+    ChannelNetwork, TransitionChannel, all_integers, build_generator, checked_number, checked_vector, shift_rate,
+)
 from .records import RecordInterval
 
 __all__ = [
@@ -94,7 +96,7 @@ class DotSpec:
             if not (math.isfinite(r.mu) and r.temperature > 0):  # NaN fails too
                 raise ValidationError(f"reservoir {r.name!r} needs a finite mu and temperature > 0")
         for (i, rname, lam), g in self.couplings.items():
-            if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or not 0 <= i < len(self.levels):
+            if not (all_integers((i,)) and 0 <= i < len(self.levels)):
                 raise ValidationError(f"coupling references unknown level {i!r}")
             if rname not in names:
                 raise ValidationError(f"coupling references unknown reservoir {rname!r}")
@@ -208,14 +210,14 @@ def make_twin(
 
     The twin is ``shift_rate`` from the losing reservoir's entering channel to
     the gain reservoir's: rate + eta and rate - eta up to an ulp-level
-    rebalance, with the assembled state generator bitwise identical.  With
-    reservoirs at different chemical potentials the twin's heat records
-    differ.  When a reservoir contacts the level through several filters, the
-    lowest-index channel is shifted.
+    rebalance, with the state generator bitwise identical.  With reservoirs at
+    different chemical potentials the twin's heat records differ.  Of a
+    reservoir's several filters on the level, the lowest-index channel is
+    shifted.  ``level`` is a level index: an int or numpy integer, not a bool.
     """
+    if not (all_integers((level,)) and 0 <= level < net.n_states - 1):
+        raise ValidationError(f"level {level!r} out of range")
     to_state = level + 1
-    if not (0 <= to_state < net.n_states):
-        raise ValidationError(f"level {level} out of range")
     members = [e for e, ch in enumerate(net.channels)
                if ch.from_state == 0 and ch.to_state == to_state]
     er = next((e for e in members if net.channels[e].reservoir == gain_res), None)

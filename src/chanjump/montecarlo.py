@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .fcs import CumulantReport
-from .network import ChannelNetwork, checked_probability, finite_fsum, graph_walk
+from .network import ChannelNetwork, all_integers, checked_number, checked_probability, finite_fsum, graph_walk
 
 __all__ = ["SimConfig", "TrajectoryStats", "simulate", "empirical_cumulants"]
 
@@ -63,6 +63,8 @@ class SimConfig:
     ``max_jumps`` (jump budget) must be set.  ``initial`` is a state index, a
     probability vector to sample from, or None for the stationary state.
     ``burn_in`` simulated time is discarded before accumulation starts.
+    ``n_trajectories``, ``seed`` and ``max_jumps`` are ints or numpy integers,
+    not bools; ``t_max`` and ``burn_in`` are numbers, stored as floats.
     """
 
     n_trajectories: int
@@ -73,6 +75,13 @@ class SimConfig:
     burn_in: float = 0.0
 
     def __post_init__(self):
+        for name in ("n_trajectories", "seed", "max_jumps"):
+            value = getattr(self, name)
+            if not (all_integers((value,)) or value is None and name == "max_jumps"):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if self.t_max is not None:
+            object.__setattr__(self, "t_max", checked_number(self.t_max, "t_max"))
+        object.__setattr__(self, "burn_in", checked_number(self.burn_in, "burn_in"))
         if self.n_trajectories < 1:
             raise ValidationError("n_trajectories must be >= 1")
         if (self.t_max is None) == (self.max_jumps is None):
@@ -389,7 +398,7 @@ class _Tally:
 
 
 def _initial_sampler(net: ChannelNetwork, cfg: SimConfig):
-    if isinstance(cfg.initial, (int, np.integer)) and not isinstance(cfg.initial, bool):
+    if all_integers((cfg.initial,)):
         idx = int(cfg.initial)
         if not (0 <= idx < net.n_states):
             raise ValidationError(f"initial state {idx} out of range")

@@ -373,6 +373,11 @@ def checked_number(x, what: str) -> float:
         raise ValidationError(f"{what} must be a number") from None
 
 
+def all_integers(values) -> bool:
+    """Whether every value is a Python or a numpy integer and not a bool, with one type test per distinct type."""
+    return all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, values)))
+
+
 def checked_vector(x, size: int, what: str, unit: str = "") -> np.ndarray:
     """x as a float array of length size; a ValidationError naming ``what`` (and both lengths) otherwise."""
     try:
@@ -458,9 +463,6 @@ def _flat_values(incs: Sequence[Mapping]) -> np.ndarray:
     return np.fromiter(values, float, len(values))
 
 
-_INDEX_TYPES = (int, np.integer)  # a state index is a Python or a numpy integer, and a number (not a bool)
-
-
 def _checked_arrays(states: tuple, records: tuple, frm, to, reservoirs, filters, rates, incs) -> ChannelArrays:
     """Validate a network given by its channel columns; its ChannelArrays.
 
@@ -485,8 +487,7 @@ def _checked_arrays(states: tuple, records: tuple, frm, to, reservoirs, filters,
     try:
         values = _flat_values(incs)
         if (
-            all(map(isinstance, chain(frm, to), repeat(_INDEX_TYPES)))
-            and _all_numbers(chain(frm, to))
+            all_integers(chain(frm, to))
             and min(min(frm), min(to)) >= 0
             and max(max(frm), max(to)) < len(states)
             and not any(map(operator.eq, frm, to))
@@ -507,7 +508,7 @@ def _first_bad_channel(n: int, records: tuple[str, ...], frm, to, reservoirs, fi
     declared = set(records)
     for e, increments in enumerate(incs):
         pair = (frm[e], to[e])
-        if not (_all_numbers(pair) and all(isinstance(i, _INDEX_TYPES) and 0 <= i < n for i in pair)):
+        if not (all_integers(pair) and all(0 <= i < n for i in pair)):
             raise ValidationError(f"channel {e}: state index must be an integer in [0, {n})")
         if frm[e] == to[e]:
             raise ValidationError(f"channel {e}: self-transition not allowed")
@@ -717,13 +718,12 @@ def build_generator(net: ChannelNetwork) -> StateGenerator:
 def shift_rate(net: ChannelNetwork, gain: int, lose: int, eta: float) -> ChannelNetwork:
     """Move rate eta from channel ``lose`` to channel ``gain`` of the same transition; the new network.
 
-    ``gain`` gets rate + eta or one ulp off it, and ``lose`` the transition total minus the other rates, rounded
-    once (within half an ulp of what works), one ulp off that or 0: whichever keeps the transition's ``fsum`` total,
-    and with it ``build_generator``, bit for bit.  eta == 0 returns ``net``.
+    ``gain`` gets rate + eta or one ulp off it, ``lose`` the transition total minus the other rates (rounded once) or 0:
+    whichever keeps the transition's ``fsum`` total, and so ``build_generator``, bit for bit.  eta == 0 returns ``net``.
     """
     a = net.arrays
     for e in (gain, lose):
-        if not (isinstance(e, _INDEX_TYPES) and _all_numbers((e,)) and 0 <= e < net.n_channels):
+        if not (all_integers((e,)) and 0 <= e < net.n_channels):
             raise ValidationError(f"channel index must be an integer in [0, {net.n_channels}), got {e!r}")
     if gain == lose or a.transition[gain] != a.transition[lose]:
         raise ValidationError(f"gain {gain} and lose {lose} must be two channels of one transition")
@@ -738,7 +738,7 @@ def shift_rate(net: ChannelNetwork, gain: int, lose: int, eta: float) -> Channel
     total, seed = math.fsum([rate_g, rate_l, *others]), rate_g + eta
     for g in (seed, math.nextafter(seed, math.inf), math.nextafter(seed, -math.inf)):
         center = math.fsum([total, -g, *map(operator.neg, others)])
-        for l in (center, math.nextafter(center, math.inf), math.nextafter(center, -math.inf), 0.0):
+        for l in (center, 0.0):
             if min(g, l) >= 0 and math.fsum([g, l, *others]) == total:
                 channels = list(net.channels)
                 channels[gain], channels[lose] = replace(channels[gain], rate=g), replace(channels[lose], rate=l)

@@ -228,6 +228,15 @@ def test_make_twin_random_specs_bitwise():
         assert np.array_equal(build_generator(twin).matrix, build_generator(net).matrix)
 
 
+def test_a_numpy_integer_level_works_in_a_dot_spec_and_in_make_twin(twin_net):
+    spec = twin_dot_spec()
+    couplings = {(np.int64(i), name, lam): g for (i, name, lam), g in spec.couplings.items()}
+    net = build_dot(DotSpec(spec.levels, spec.reservoirs, couplings))
+    assert [ch.rate for ch in net.channels] == [ch.rate for ch in twin_net.channels]
+    twin, numpy_twin = make_twin(twin_net, 0, "L", "R", 0.1), make_twin(twin_net, np.int64(0), "L", "R", 0.1)
+    assert numpy_twin == twin
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_make_twin_keeps_the_generator_on_random_multi_reservoir_dots(data):

@@ -28,8 +28,10 @@ from chanjump import (
     TransitionChannel,
     ValidationError,
     build_dot,
+    build_generator,
     dot_heat_bounds,
     dot_totals,
+    serialize_network,
 )
 from chanjump.dot import _level_contacts, fermi
 from chanjump.network import ChannelArrays, checked_vector, shift_rate
@@ -226,3 +228,15 @@ def test_the_fsum_rebalance_target_matches_the_rational_one(rates, data):
         return twin.channels[er].rate, twin.channels[es].rate
 
     assert repr(outcome(shifted)) == repr(outcome(_reference_rebalanced_rates))
+
+
+def test_a_losing_rate_emptied_below_the_smallest_subnormal_is_plus_zero():
+    # s -> t carries 1.0, 0.5 and 5e-324; moving 0.5 onto the first leaves the second exactly nothing
+    rates = (1.0, 0.5, 5e-324)
+    channels = tuple(TransitionChannel(0, 1, name, r) for name, r in zip("ABC", rates))
+    net = ChannelNetwork(("s", "t"), channels + (TransitionChannel(1, 0, "A", 1.0),), ())
+    twin = shift_rate(net, 0, 1, 0.5)
+    assert [ch.rate for ch in twin.channels] == [1.5, 0.0, 5e-324, 1.0]
+    assert math.copysign(1.0, twin.channels[1].rate) == 1.0  # 0.0, not -0.0
+    assert '"rate": -0.0' not in serialize_network(twin)
+    assert build_generator(twin).matrix.tobytes() == build_generator(net).matrix.tobytes()

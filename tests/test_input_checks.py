@@ -12,9 +12,11 @@ state.  REFUSED lists inputs that are not what they claim to be (a bool
 state index or initial state, string or non-finite weights, a reservoir or
 filter label that is not a string, a dot with a fractional level, a
 repeated coupling, a string gamma, an entry of the wrong shape or a
-coupling key given as an array or object) and each input check of
-``shift_rate``, and BRANCHES one case for each check or fallback that no
-other test reaches.
+coupling key given as an array or object, a ``make_twin`` level or a
+``SimConfig`` count that is not an integer, a ``SimConfig`` time or an
+``R_inv`` entry that is not a number, an infinite ``R_inv`` entry) and each
+input check of ``shift_rate``, and BRANCHES one case for each check or
+fallback that no other test reaches.
 """
 
 from __future__ import annotations
@@ -265,6 +267,11 @@ def dot_spec(gamma=1.0, temperature=1.0, key=(0, "L", ""), name="L") -> DotSpec:
     return DotSpec((1.0, 0.3), (Reservoir(name, 0.0, temperature),), {key: gamma})
 
 
+def two_level_dot() -> ChannelNetwork:
+    """The twin dot's reservoirs, both coupled to each of two levels."""
+    return build_dot(DotSpec((1.0, 0.3), SPEC.reservoirs, {(i, name, ""): 1.0 for i in (0, 1) for name in "LR"}))
+
+
 def simulate_from(initial):
     return simulate(build_dot(SPEC), SimConfig(n_trajectories=1, seed=0, t_max=1.0, initial=initial))
 
@@ -416,6 +423,54 @@ REFUSED = {
     "shift_rate/eta past the gaining rate": (
         lambda: shift_rate(build_dot(SPEC), 0, 1, -0.4),
         "eta -0.4 out of range; must keep rates in [-0.377541, 0.182426] nonnegative",
+    ),
+    # a level is an integer in [0, levels), on a dot with two levels: not a bool, a float, None or a string
+    "make_twin/bool level": (lambda: make_twin(two_level_dot(), True, "L", "R", 0.1), "level True out of range"),
+    "make_twin/float level": (lambda: make_twin(two_level_dot(), 1.0, "L", "R", 0.1), "level 1.0 out of range"),
+    "make_twin/None level": (lambda: make_twin(two_level_dot(), None, "L", "R", 0.1), "level None out of range"),
+    "make_twin/string level": (lambda: make_twin(two_level_dot(), "0", "L", "R", 0.1), "level '0' out of range"),
+    "make_twin/negative level": (lambda: make_twin(two_level_dot(), -1, "L", "R", 0.1), "level -1 out of range"),
+    # SimConfig's counts are integers and its times numbers
+    "SimConfig/bool n_trajectories": (
+        lambda: SimConfig(n_trajectories=True, seed=0, t_max=1.0),
+        "n_trajectories must be an integer, got True",
+    ),
+    "SimConfig/bool seed": (lambda: SimConfig(n_trajectories=1, seed=True, t_max=1.0), "seed must be an integer, got True"),
+    "SimConfig/bool max_jumps": (
+        lambda: SimConfig(n_trajectories=1, seed=0, max_jumps=True),
+        "max_jumps must be an integer, got True",
+    ),
+    "SimConfig/float n_trajectories": (
+        lambda: SimConfig(n_trajectories=2.5, seed=0, t_max=1.0),
+        "n_trajectories must be an integer, got 2.5",
+    ),
+    "SimConfig/float seed": (lambda: SimConfig(n_trajectories=1, seed=1.5, t_max=1.0), "seed must be an integer, got 1.5"),
+    "SimConfig/float max_jumps": (
+        lambda: SimConfig(n_trajectories=1, seed=0, max_jumps=2.5),
+        "max_jumps must be an integer, got 2.5",
+    ),
+    "SimConfig/string t_max": (lambda: SimConfig(n_trajectories=1, seed=0, t_max="1"), "t_max must be a number"),
+    "SimConfig/None burn_in": (
+        lambda: SimConfig(n_trajectories=1, seed=0, t_max=1.0, burn_in=None),
+        "burn_in must be a number",
+    ),
+    # a supplied R_inv is a finite diagonal of numbers (the twin dot has 4 channels)
+    "quotient_form/string R_inv entries": (
+        lambda: quotient_form(build_dot(SPEC), ["1", "2", "3", "4"]),
+        "R_inv must be a flat list of numbers",
+    ),
+    "quotient_form/bool R_inv entries": (
+        lambda: quotient_form(build_dot(SPEC), [True] * 4),
+        "R_inv must be a flat list of numbers",
+    ),
+    "quotient_form/infinite R_inv entry": (
+        lambda: quotient_form(build_dot(SPEC), [1.0, 2.0, 3.0, math.inf]),
+        "R_inv diagonal must be finite and strictly positive",
+    ),
+    "quotient_form/R_inv a string": (lambda: quotient_form(build_dot(SPEC), "abcd"), "R_inv must be a length-4 diagonal"),
+    "quotient_form/one R_inv entry a string": (
+        lambda: quotient_form(build_dot(SPEC), [1, 2, 3, "x"]),
+        "R_inv must be a flat list of numbers",
     ),
 }
 

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanjump import (
     ValidationError,
@@ -17,6 +21,7 @@ from chanjump import (
     serialize_network,
     twin_dot_spec,
 )
+import chanjump.network as network_module
 from chanjump.network import ChannelNetwork, TransitionChannel
 
 from conftest import F_L, GAMMA_MINUS, GAMMA_PLUS, make_network, random_network
@@ -293,6 +298,44 @@ def test_a_numpy_integer_state_index_is_accepted():
     for name in ("from_state", "to_state", "transition", "rate", "increments", "counts", "grouped", "pairs"):
         assert np.array_equal(getattr(numpy_ints, name), getattr(ints, name)), name
     assert numpy_ints.transitions == ints.transitions and numpy_ints.spans == ints.spans
+
+
+# three states, so 3 is n; the numpy ones are the only indices in [0, 3) drawn
+_INDEX_DRAWS = [True, np.True_, 1.0, np.int8(1), np.uint64(1), -1, 3, 2**70, "1", None]
+
+
+class _BulkRefused(Exception):
+    pass
+
+
+def _refuse(*columns):
+    raise _BulkRefused
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(draws=st.lists(st.tuples(st.booleans(), st.sampled_from(_INDEX_DRAWS)), min_size=1, max_size=4))
+def test_the_bulk_check_and_the_channel_loop_refuse_exactly_the_non_indices(draws):
+    # each draw is the source (True) or the target of one channel; the other end is a state it differs from
+    channels = tuple(TransitionChannel(i, 0, "r", 1.0) if source else TransitionChannel(2, i, "r", 1.0) for source, i in draws)
+    bad = [e for e, (_, i) in enumerate(draws) if type(i) not in (np.int8, np.uint64)]
+    with mock.patch.object(network_module, "_first_bad_channel", _refuse):
+        try:
+            ChannelNetwork(("a", "b", "c"), channels, ())
+            bulk_accepts = True
+        except _BulkRefused:
+            bulk_accepts = False
+    assert bulk_accepts == (not bad)
+
+    columns = ([ch.from_state for ch in channels], [ch.to_state for ch in channels],
+               ["r"] * len(channels), [""] * len(channels), [1.0] * len(channels), [{}] * len(channels))
+    if not bad:
+        assert network_module._first_bad_channel(3, (), *columns) is None
+        return
+    message = f"^{re.escape(f'channel {bad[0]}: state index must be an integer in [0, 3)')}$"
+    with pytest.raises(ValidationError, match=message):
+        network_module._first_bad_channel(3, (), *columns)
+    with pytest.raises(ValidationError, match=message):
+        ChannelNetwork(("a", "b", "c"), channels, ())
 
 
 def test_numpy_integer_indices_give_the_int_network_s_transitions_and_entropy():
