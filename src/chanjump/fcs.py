@@ -9,8 +9,10 @@ state and the Drazin inverse, which is what ``mean_currents`` and
 ``noise_matrix`` evaluate.  ``cumulants_fd`` is the finite-difference
 cross-check on the dominant eigenvalue (Bagrets and Nazarov, PRB 67, 085316
 (2003)).  The tilted generator is a Metzler matrix, so that eigenvalue is
-its Perron root: bordered Newton finds it from the stationary state, and a
-positive eigenvector certifies it; a point without that certificate goes
+its Perron root, and a positive eigenvector certifies it.  A chord
+iteration on the network's cached Drazin inverse finds it from the
+stationary state with two mat-vecs a step; a point it does not certify
+goes through bordered Newton, and a point still without the certificate
 through a full eigensolve (``np.linalg.eigvals``).  The whole stencil is
 tilted as one stack, in chunks of bounded size, and each point is bitwise
 what ``scgf`` returns for it, since one path assembles and solves both.
@@ -31,8 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .linalg import drazin_inverse
+from .errors import ChanjumpError, NumericalError, ValidationError
 from .network import ChannelArrays, ChannelNetwork, checked_vector
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
 
 _MAX_EXPONENT = 700.0  # exp overflow threshold for doubles
 _EPS = float(np.finfo(float).eps)
+_CHORD_STEPS = 12  # chord steps before a point falls back to bordered Newton
 _NEWTON_STEPS = 8  # bordered Newton steps before a point falls back to eigvals
 # A noise diagonal below -_VARIANCE_SLACK * eps (2**-6, about 0.016) times the size of the
 # terms that form it is a negative variance, not rounding.  The SVD stationary state loses
@@ -145,47 +147,123 @@ def _bordered_solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _perron_roots(M: np.ndarray, p: np.ndarray) -> list[float]:
-    """Dominant eigenvalue of every matrix of the K x n x n Metzler stack.
+def _chord_roots(M: np.ndarray, p: np.ndarray, R: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Perron roots by a chord iteration on the untilted bordered system; NaN where not certified.
+
+    Each point solves ((M - mu I) v, 1.v - 1) = 0 for x = (v, mu).  The
+    Jacobian at the untilted point, [[L, -p], [1, 0]], has the exact inverse
+    [[R, p], [-1, 0]] with R the Drazin inverse, so a simplified Newton
+    (chord) step costs two mat-vecs and no factorization: with r = (M - mu I) v,
+    v <- v - R r and mu <- mu + 1.r.  The step's p (1.v - 1) term is left
+    out: 1.R = 0 and 1.p = 1 keep 1.v at 1 up to rounding.  A step's size
+    is max(max |dv| / (4 eps max p), |dmu| / tol).  The first step starts
+    from (p, 0) and lands on mu = 1.M p, so it never stops a point.  After
+    it, a point stops once its size is at most 1, or once the a-posteriori
+    bound on the steps still to come, size rho / (1 - rho), is, which saves
+    the last step; rho = max(size / last, last / before) over its last
+    three sizes, since one ratio alone can come from a component that has
+    already died out.  It is certified if then v > 0.  A step that grows
+    stops the point uncertified, as does reaching _CHORD_STEPS.  Every
+    point is its own mat-vec and stops on its own, so its value does not
+    depend on the other points of the stack.
+    """
+    K, n = M.shape[:2]
+    lam = np.full(K, np.nan)
+    G = np.empty((n + 1, n))  # maps r to (v - v', mu - mu') = (R r, -1.r)
+    G[:n], G[n] = R, -1.0
+    X = np.zeros((K, n + 1, 1))  # each point's x = (v, mu), as a column
+    X[:, :n, 0] = p
+    F = (M @ p)[:, :, None]  # and its residual r
+    W = np.full((K, n + 1, 1), 1 / (4 * _EPS * p.max()))  # a step's size is max |dx| W
+    W[:, n, 0] = 1 / tol
+    rows, Mk, left = np.arange(K), M, K  # the stack rows still iterated; W is NaN on stopped ones
+    last = before = np.nan  # the sizes of the two steps before; NaN compares false
+    for step in range(_CHORD_STEPS):
+        dX = G @ F
+        X -= dX
+        size = (np.abs(dX, out=dX) * W).max(axis=(1, 2))
+        if step:  # the first step only moves mu from 0 to 1.M p
+            grown = size + 1
+            converged = (size <= 1) | ((size * grown <= last) & (last * grown <= before))
+            stop = converged | (size > last)
+            if stop.any():
+                done = np.flatnonzero(stop)
+                good = done[converged[done] & (X[done, :n, 0] > 0).all(axis=1)]
+                lam[rows[good]] = X[good, n, 0]
+                W[done] = np.nan
+                left -= done.size
+                if not left:
+                    break
+                if 2 * left <= rows.size:
+                    keep = np.flatnonzero(W[:, n, 0] == W[:, n, 0])
+                    rows, X, W, size, last = rows[keep], X[keep], W[keep], size[keep], last[keep]
+                    Mk = M[rows]
+        before, last = last, size
+        F = Mk @ X[:, :n] - X[:, n:] * X[:, :n]
+    return lam
+
+
+def _newton_roots(M: np.ndarray, p: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Perron roots by bordered Newton; NaN where not certified.
 
     Bordered Newton on (M - lam I) v = 0, 1.v = 1 (Peters and Wilkinson,
     SIAM Rev. 21, 339 (1979)): from v = p and lam = 1.M p, each step solves
     [[M - lam I, -v], [1, 0]] [v', dlam] = [0, 1] for every point still
-    running.  A point stops on its own once |dlam| <= 4 eps max(1, max |M|),
-    so its value does not depend on the other points of the stack.  A
-    Metzler matrix's eigenvalue with a positive eigenvector is its dominant
-    one, so a converged, entrywise positive v certifies lam.  Every point
-    that is not certified within _NEWTON_STEPS steps goes through
-    ``_dominant_eigenvalues``.
+    running.  A point stops on its own once |dlam| <= tol, and is certified
+    if then v > 0; a singular system stops only its own point, and a point
+    still running after _NEWTON_STEPS steps is not certified.
     """
     K, n = M.shape[:2]
-    tol = 4 * _EPS * _scale(M)
-    lam = np.full(K, np.nan)  # NaN until certified
+    lam = np.full(K, np.nan)
     B = np.zeros((K, n + 1, n + 1))  # reused: every step rewrites the first k systems
     B[:, n, :n] = 1.0
     rhs = np.zeros((K, n + 1, 1))
     rhs[:, n] = 1.0
     running = np.arange(K)
+    mu = (M @ p).sum(axis=1)
+    v = np.broadcast_to(p, (K, n))
+    for _ in range(_NEWTON_STEPS):
+        k = running.size
+        B[:k, :n, :n] = M if k == K else M[running]
+        B[:k, range(n), range(n)] -= mu[:, None]
+        B[:k, :n, n] = -v
+        x = _bordered_solve(B[:k], rhs[:k])[:, :, 0]
+        v, step = x[:, :n], x[:, n]
+        mu = mu + step
+        stop = ~(np.abs(step) > tol[running])  # converged, or NaN: the solve failed
+        certified = stop & np.isfinite(step) & (v > 0).all(axis=1)
+        lam[running[certified]] = mu[certified]
+        running, mu, v = running[~stop], mu[~stop], v[~stop]
+        if not running.size:
+            break
+    return lam
+
+
+def _perron_roots(M: np.ndarray, net: ChannelNetwork) -> list[float]:
+    """Dominant eigenvalue of every matrix of the K x n x n stack of tilts of net's generator.
+
+    A Metzler matrix's eigenvalue with a positive eigenvector is its
+    dominant one, so a converged, entrywise positive v certifies lam.  Every
+    point starts with the chord iteration on net's cached Drazin inverse
+    (``_chord_roots``); a point it does not certify goes through bordered
+    Newton (``_newton_roots``), and a point that is still not certified
+    through ``_dominant_eigenvalues``.  Without a Drazin inverse every point
+    starts with Newton.  Both iterations converge to |dlam| <= tol = 4 eps
+    max(1, max |M|) and stop each point on its own values alone, so a
+    point's value does not depend on the other points of the stack.
+    """
+    p = net.stationary.p
+    tol = 4 * _EPS * _scale(M)
+    lam = np.full(len(M), np.nan)  # NaN until certified
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite M fails to converge
-        mu = (M @ p).sum(axis=1)
-        v = np.broadcast_to(p, (K, n))
-        for _ in range(_NEWTON_STEPS):
-            k = running.size
-            B[:k, :n, :n] = M if k == K else M[running]
-            B[:k, range(n), range(n)] -= mu[:, None]
-            B[:k, :n, n] = -v
-            x = _bordered_solve(B[:k], rhs[:k])[:, :, 0]
-            v, step = x[:, :n], x[:, n]
-            mu = mu + step
-            stop = ~(np.abs(step) > tol[running])  # converged, or NaN: the solve failed
-            certified = stop & np.isfinite(step) & (v > 0).all(axis=1)
-            lam[running[certified]] = mu[certified]
-            running, mu, v = running[~stop], mu[~stop], v[~stop]
-            if not running.size:
-                break
-    uncertified = np.flatnonzero(np.isnan(lam))
-    if uncertified.size:
-        lam[uncertified] = _dominant_eigenvalues(M[uncertified])
+        with contextlib.suppress(ChanjumpError):  # no Drazin inverse: every point starts with Newton
+            lam = _chord_roots(M, p, net.drazin, tol)
+        rest = np.flatnonzero(np.isnan(lam))
+        if rest.size:
+            lam[rest] = _newton_roots(M[rest], p, tol[rest])
+            rest = np.flatnonzero(np.isnan(lam))
+    if rest.size:
+        lam[rest] = _dominant_eigenvalues(M[rest])
     return lam.tolist()
 
 
@@ -235,7 +313,7 @@ def noise_matrix(net: ChannelNetwork) -> np.ndarray:
     its terms, (D W D^T)_mumu + 2 |(A R B^T)_mumu|.
     """
     a = net.arrays
-    R = drazin_inverse(net.generator, net.stationary)
+    R = net.drazin
     D = a.increments
     with np.errstate(over="ignore", invalid="ignore"):
         DW = D * (a.rate * net.stationary.p[a.from_state])
@@ -262,17 +340,19 @@ def scgf(net: ChannelNetwork, chi: Mapping[str, float]) -> float:
     """Dominant eigenvalue of the tilted generator (scaled CGF).
 
     Real and simple for irreducible networks; zero at chi = 0.  It is the
-    Perron root of the tilted generator, found by bordered Newton from the
-    stationary state and certified by a positive eigenvector; a point that
-    is not certified, or a network without a stationary state, goes through
-    a full eigensolve (``np.linalg.eigvals``) instead.
+    Perron root of the tilted generator, found from the stationary state by
+    a chord iteration on the network's cached Drazin inverse and certified
+    by a positive eigenvector.  A point the chord does not certify goes
+    through bordered Newton, and a point still not certified, or a network
+    without a stationary state, through a full eigensolve
+    (``np.linalg.eigvals``) instead.
     """
     M = tilted_generator(net, chi)[None]
     try:
-        p = net.stationary.p
+        net.stationary
     except NumericalError:
         return _dominant_eigenvalues(M)[0]
-    return _perron_roots(M, p)[0]
+    return _perron_roots(M, net)[0]
 
 
 def analytic_cumulants(net: ChannelNetwork) -> CumulantReport:
@@ -297,19 +377,21 @@ def _stencil_points(q: int) -> np.ndarray:
     return np.array(rows, dtype=np.intp)
 
 
-def _stencil_exponents(hD: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _stencil_exponents(hD: np.ndarray, points: np.ndarray, screen: bool = True) -> np.ndarray:
     """Exponents of the given stencil points, one row per point.
 
     A product by +-1 is exact, one product is what fsum of one term returns,
     and IEEE addition of two products is correctly rounded, as fsum of two
     terms is; adding the zero row changes only the sign of a zero exponent.
+    ``screen`` looks for sums that overflow cell by cell; a caller that
+    knows 2 max |hD| is finite passes False, since then none can.
     """
     first = points[:, 1, None] * hD[points[:, 0]]
     second = points[:, 3, None] * hD[points[:, 2]]
     with np.errstate(over="ignore", invalid="ignore"):
         rows = first + second
     # fsum raises where finite terms sum past the largest double (inf - inf fails the eigensolve)
-    if np.any(np.isinf(rows) & np.isfinite(first) & np.isfinite(second)):
+    if screen and np.any(np.isinf(rows) & np.isfinite(first) & np.isfinite(second)):
         raise NumericalError("weighted record increments exceed the largest double")
     return rows
 
@@ -322,12 +404,14 @@ def cumulants_fd(net: ChannelNetwork, h: float = 1e-4) -> CumulantReport:
     whole stencil, in the order of the per-point loop (chi = 0, +h on every
     record, -h on every record, then the four sign points of every pair), is
     tilted as one stack, split into chunks of about _STACK_CELLS cells, and
-    each chunk's Perron roots are found together; every point is bitwise
-    what ``scgf`` returns for it.  A failing chunk is replayed point by
+    each chunk's Perron roots are found together by ``scgf``'s path: the
+    chord on the network's Drazin inverse, then bordered Newton and
+    ``eigvals`` for the points it leaves; every point is bitwise what
+    ``scgf`` returns for it.  A failing chunk is replayed point by
     point through ``scgf``; every earlier chunk succeeded, so the error
     names the first failing point of the per-point loop.
     """
-    p = net.stationary.p  # fail early on non-ergodic input
+    net.stationary  # fail early on non-ergodic input
     if h * h == 0:
         raise ValidationError(f"finite-difference step {h!r} is too small: its square is zero")
     recs = net.records
@@ -335,13 +419,15 @@ def cumulants_fd(net: ChannelNetwork, h: float = 1e-4) -> CumulantReport:
     a = net.arrays
     with np.errstate(over="ignore"):
         hD = np.vstack([h * a.increments, np.zeros(a.increments.shape[1])])
+        # doubling is exact, so no two entries sum past 2 max |hD|; NaN or inf screens every cell
+        screen = not np.isfinite(2 * np.abs(hD).max(initial=0.0))
     points = _stencil_points(q)
     chunk = max(1, _STACK_CELLS // (net.n_states**2 + net.n_channels))
     lam = []
     for start in range(0, len(points), chunk):
         rows = points[start : start + chunk]
         try:
-            lam += _perron_roots(_tilted_stack(net, _stencil_exponents(hD, rows)), p)
+            lam += _perron_roots(_tilted_stack(net, _stencil_exponents(hD, rows, screen)), net)
         except NumericalError:
             for i, si, j, sj in rows.tolist():
                 scgf(net, {recs[k]: s * h for k, s in ((i, si), (j, sj)) if k < q})

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ChanjumpError, NumericalError, ValidationError
 
 __all__ = [
     "TransitionChannel",
@@ -130,10 +130,16 @@ class ChannelNetwork:
 
         A failed solve is cached too: every access re-raises its error.
         """
-        state, error = self._stationary
-        if error is not None:
-            raise error.with_traceback(None)
-        return state
+        return _outcome(self._stationary)
+
+    @property
+    def drazin(self) -> np.ndarray:
+        """Drazin inverse of ``generator`` at ``stationary``, cached like ``stationary``.
+
+        A failed solve, or a failed stationary state, re-raises its error on
+        every access.
+        """
+        return _outcome(self._drazin)
 
     @cached_property
     def _stationary(self):
@@ -143,6 +149,23 @@ class ChannelNetwork:
             return stationary_state(self.generator), None
         except NumericalError as exc:
             return None, exc
+
+    @cached_property
+    def _drazin(self):
+        from .linalg import drazin_inverse
+
+        try:
+            return drazin_inverse(self.generator, self.stationary), None
+        except ChanjumpError as exc:
+            return None, exc
+
+
+def _outcome(cached: tuple):
+    """The value of a cached (value, error) pair, or its error raised afresh."""
+    value, error = cached
+    if error is not None:
+        raise error.with_traceback(None)
+    return value
 
 
 @dataclass(frozen=True, eq=False)

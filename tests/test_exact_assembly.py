@@ -14,10 +14,11 @@ Perron root must lie within 1e-12 max(1, max |M|) of the reference's
 ``eigvals`` root, and means and noise must be bitwise what the per-point
 loop gives on the library's ``scgf``.  With the math.exp tilt the library
 used before, the FD cumulants of the benchmark models must stay within 1e-6
-of their scale.  The property tests check that rescaling every rate by a
-power of two rescales the generator exactly and leaves every verdict alone,
-and that no model document, however extreme its numbers, makes the CLI
-raise.
+of their scale, and so must they with ``newton_perron_roots``, the bordered
+Newton on every point that the library ran before its chord iteration.  The
+property tests check that rescaling every rate by a power of two rescales
+the generator exactly and leaves every verdict alone, and that no model
+document, however extreme its numbers, makes the CLI raise.
 """
 
 from __future__ import annotations
@@ -484,6 +485,17 @@ def test_every_stencil_point_is_its_own_scgf(seed, h):
         assert abs(lam - eig) <= ROOT_BOUND * max(1.0, float(np.abs(M).max()))
 
 
+@pytest.mark.parametrize("seed", [14, 79])
+def test_the_chord_does_not_stop_on_one_ratio_of_steps(seed):
+    # at h = 0.3 on these networks, stopping on size * rho / (1 - rho) <= 1 with rho the
+    # last ratio of step sizes alone left roots up to 2.5e-12 of their scale off
+    net = fd_network(np.random.default_rng(seed))
+    outcome, solved = stacked_fd(net, 0.3)
+    assert len(outcome) == 3
+    for M, lam in solved:
+        assert abs(lam - fcs._dominant_eigenvalues(M[None])[0]) <= ROOT_BOUND * max(1.0, float(np.abs(M).max()))
+
+
 def plain_newton(M, p, steps=8):
     """Bordered Newton from (p, 1.M p) without the positivity certificate."""
     n = len(M)
@@ -508,8 +520,9 @@ def test_an_uncertified_root_falls_back_to_eigvals(monkeypatch):
     eig = fcs._dominant_eigenvalues(M[None])[0]
     assert not (v > 0).all() and eig - wrong > 10.0
     assert scgf(net, chi) == eig
-    assert fcs._perron_roots(np.stack([tilted_generator(net, {}), M]), net.stationary.p)[1] == eig
-    # a point that has not converged when the step cap is hit falls back too
+    assert fcs._perron_roots(np.stack([tilted_generator(net, {}), M]), net)[1] == eig
+    # a point that has not converged when the step caps are hit falls back too
+    monkeypatch.setattr(fcs, "_CHORD_STEPS", 2)
     monkeypatch.setattr(fcs, "_NEWTON_STEPS", 1)
     for field in ({"x0": 1e-3}, {"x0": 0.1}, chi):
         assert scgf(net, field) == fcs._dominant_eigenvalues(tilted_generator(net, field)[None])[0]
@@ -546,6 +559,80 @@ def test_the_np_exp_tilt_moves_fd_cumulants_by_rounding_only(seed, monkeypatch):
         means, want_means = np.array(list(got.means.values())), np.array(list(want.means.values()))
         assert np.abs(means - want_means).max() <= 1e-6 * max(1.0, float(np.abs(want_means).max())), name
         assert np.abs(got.noise - want.noise).max() <= 1e-6 * max(1.0, float(np.abs(want.noise).max())), name
+
+
+def newton_perron_roots(M: np.ndarray, p: np.ndarray) -> list[float]:
+    """The library's Perron roots before the chord: bordered Newton on every point, then eigvals.
+
+    Verbatim, but for the ``fcs.`` prefixes and the step cap of 8 written out.
+    """
+    K, n = M.shape[:2]
+    tol = 4 * fcs._EPS * fcs._scale(M)
+    lam = np.full(K, np.nan)  # NaN until certified
+    B = np.zeros((K, n + 1, n + 1))  # reused: every step rewrites the first k systems
+    B[:, n, :n] = 1.0
+    rhs = np.zeros((K, n + 1, 1))
+    rhs[:, n] = 1.0
+    running = np.arange(K)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite M fails to converge
+        mu = (M @ p).sum(axis=1)
+        v = np.broadcast_to(p, (K, n))
+        for _ in range(8):
+            k = running.size
+            B[:k, :n, :n] = M if k == K else M[running]
+            B[:k, range(n), range(n)] -= mu[:, None]
+            B[:k, :n, n] = -v
+            x = fcs._bordered_solve(B[:k], rhs[:k])[:, :, 0]
+            v, step = x[:, :n], x[:, n]
+            mu = mu + step
+            stop = ~(np.abs(step) > tol[running])  # converged, or NaN: the solve failed
+            certified = stop & np.isfinite(step) & (v > 0).all(axis=1)
+            lam[running[certified]] = mu[certified]
+            running, mu, v = running[~stop], mu[~stop], v[~stop]
+            if not running.size:
+                break
+    uncertified = np.flatnonzero(np.isnan(lam))
+    if uncertified.size:
+        lam[uncertified] = fcs._dominant_eigenvalues(M[uncertified])
+    return lam.tolist()
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_the_chord_moves_fd_cumulants_by_rounding_only(seed, monkeypatch):
+    # the chord stops on its own rule, so its roots differ from Newton's in the last
+    # bits; that must not move the FD means or noise past 1e-6 of their scale, every
+    # root must stay within ROOT_BOUND of eigvals, and no point may need a fallback
+    eigvals = fcs._dominant_eigenvalues
+    for name, doc in benchmark_models(seed).items():
+        net = load_network(doc)
+        fallbacks = []
+        with monkeypatch.context() as mp:
+            for fallback in ("_newton_roots", "_dominant_eigenvalues"):
+                fn = getattr(fcs, fallback)
+                mp.setattr(fcs, fallback, lambda M, *args, fn=fn: fallbacks.append(len(M)) or fn(M, *args))
+            got, solved = stacked_fd(net, 1e-4)
+        assert not fallbacks, name
+        for M, lam in solved:
+            assert abs(lam - eigvals(M[None])[0]) <= ROOT_BOUND * max(1.0, float(np.abs(M).max())), name
+        with monkeypatch.context() as mp:
+            mp.setattr(fcs, "_perron_roots", lambda M, net: newton_perron_roots(M, net.stationary.p))
+            want = fd_outcome(cumulants_fd, net, 1e-4)
+        assert got[0] == want[0], name
+        assert np.abs(got[1] - want[1]).max() <= 1e-6 * max(1.0, float(np.abs(want[1]).max())), name
+        assert np.abs(got[2] - want[2]).max() <= 1e-6 * max(1.0, float(np.abs(want[2]).max())), name
+
+
+def test_an_overflowing_stencil_is_screened_cell_by_cell():
+    # 2 max |h d| overflows here, so every cell is screened; the (+h, +h) sum of the two
+    # records is -inf, and the error must still be the per-point loop's first one
+    net = make_network(["a", "b"], [(0, 1, "r", 1.0, "", {"x": -1e308, "y": -1e308}), (1, 0, "r", 2.0)], ["x", "y"])
+    hD = np.vstack([net.arrays.increments, np.zeros(2)])
+    mixed = fcs._stencil_points(2)[-4:-3]
+    with pytest.raises(NumericalError, match="weighted record increments exceed the largest double"):
+        fcs._stencil_exponents(hD, mixed)
+    assert np.isneginf(fcs._stencil_exponents(hD, mixed, screen=False)).any()
+    assert fd_outcome(cumulants_fd, net, 1.0) == (NumericalError, "counting-field exponent 1e+308 overflows; use smaller fields")
+    assert_same_fd(net, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -238,20 +238,77 @@ def test_cumulants_fd_solves_one_stack_per_record(monkeypatch):
     monkeypatch.setattr(fcs, "_perron_roots", counted("_perron_roots", roots))
     cumulants_fd(net)
     # the per-point loop made 2q + 1 + 2q(q - 1) = 51 eigensolves and as many assemblies;
-    # the whole stencil is now one Newton stack, every point certified
+    # the whole stencil is now one stack, every point certified
     assert calls == {"eigvals": 0, "build_generator": 1, "_perron_roots": 1}
 
 
-def test_a_singular_newton_system_leaves_the_other_points_alone(twin_net):
+def test_a_singular_newton_system_leaves_the_other_points_alone(twin_net, monkeypatch):
     # the zero matrix makes its bordered system singular, so the stacked solve fails;
     # the other point must still get its own Newton root, not the eigvals fallback
     from chanjump import fcs
 
     M = tilted_generator(twin_net, {"heat_L": 0.3})
-    p = twin_net.stationary.p
-    alone = fcs._perron_roots(M[None], p)[0]
-    assert fcs._perron_roots(np.stack([M, np.zeros_like(M)]), p) == [alone, 0.0]
+    stack = np.stack([M, np.zeros_like(M)])
+    chord = fcs._perron_roots(M[None], twin_net)[0]
+    assert fcs._perron_roots(stack, twin_net) == [chord, 0.0]  # the chord certifies both
+    monkeypatch.setattr(fcs, "_CHORD_STEPS", 0)  # every point goes to Newton
+    alone = fcs._perron_roots(M[None], twin_net)[0]
+    assert fcs._perron_roots(stack, twin_net) == [alone, 0.0]
     assert abs(alone - fcs._dominant_eigenvalues(M[None])[0]) <= 1e-15
+    assert abs(chord - alone) <= 1e-15
+
+
+def test_a_chord_root_without_a_positive_eigenvector_is_not_certified():
+    # M has the eigenpair (0, v), v = (1 + 1e-6, -1e-6), next to p = (1 - 1e-6, 1e-6), and the
+    # chord converges to it; v has a negative entry, so neither iteration certifies the root
+    from chanjump import fcs
+
+    net = make_network(["a", "b"], [(0, 1, "r", 1e-6, "", {"n": 1.0}), (1, 0, "r", 1.0)], ["n"])
+    L, v = net.generator.matrix, np.array([1 + 1e-6, -1e-6])
+    M = (L - np.outer(L @ v, v) / (v @ v))[None]
+    tol = 4 * fcs._EPS * fcs._scale(M)
+    assert np.isnan(fcs._chord_roots(M, net.stationary.p, net.drazin, tol)).all()
+    assert fcs._perron_roots(M, net) == fcs._dominant_eigenvalues(M)
+
+
+def test_the_drazin_inverse_is_solved_once_per_network(monkeypatch):
+    from chanjump import linalg
+
+    net = random_network(np.random.default_rng(5), n_records=3)
+    calls = []
+    solve = linalg.drazin_inverse
+    monkeypatch.setattr(linalg, "drazin_inverse", lambda *args: calls.append(args) or solve(*args))
+    noise_matrix(net)
+    cumulants_fd(net)
+    scgf(net, {net.records[0]: 0.1})
+    assert len(calls) == 1 and net.drazin is net.drazin
+    assert net.drazin.tobytes() == solve(net.generator, net.stationary).tobytes()
+
+
+def test_a_failed_drazin_solve_is_cached_and_the_roots_start_with_newton(monkeypatch):
+    from chanjump import fcs, linalg
+
+    calls, newton = [], []
+
+    def failing(*args):
+        calls.append(args)
+        raise NumericalError("singular bordered system: no pivot")
+
+    roots = fcs._newton_roots
+    monkeypatch.setattr(linalg, "drazin_inverse", failing)
+    monkeypatch.setattr(fcs, "_newton_roots", lambda M, *args: newton.append(len(M)) or roots(M, *args))
+    net = random_network(np.random.default_rng(6), n_records=2)
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="singular bordered system: no pivot"):
+            noise_matrix(net)
+    assert len(calls) == 1
+    fd = cumulants_fd(net)
+    assert newton == [2 * 2**2 + 1]  # the whole stencil, as before the chord
+    assert np.isfinite(fd.noise).all()
+    broken = make_network(["a", "b", "c"], [(0, 1, "r", 1.0, "", {"n": 1.0}), (1, 0, "r", 1.0)], ["n"])
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="not ergodic"):
+            broken.drazin
 
 
 def test_cumulants_fd_memory_does_not_grow_with_the_records():
