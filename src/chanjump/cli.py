@@ -122,7 +122,8 @@ def cmd_analyze(args) -> dict:
     report = rpt.new_report("analyze", {"rank_tol": tol, "fd_step": args.fd_step})
     report["model"] = _model_section(net)
     report["generator"] = {"matrix": rpt.matrix(net.generator.matrix), "method": "analytic"}
-    ss = stationary_state(net.generator, tol)
+    # at DEFAULT_TOL this is the cached solve the analytic cumulants read too
+    ss = net.stationary if tol == DEFAULT_TOL else stationary_state(net.generator, tol)
     report["stationary"] = {"p": rpt.vector(ss.p), "ergodic": ss.ergodic, "method": "analytic"}
     report["kernel"] = _kernel_section(net, tol)
     report["cumulants_analytic"] = rpt.cumulant_section(fcs.analytic_cumulants(net))

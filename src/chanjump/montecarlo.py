@@ -17,7 +17,10 @@ The channel choice is a precomputed table lookup (``_ChannelTable``; on a
 small exact table one lookup walks several jumps) and each trajectory is
 walked a chunk of jumps at a time; both reproduce the scalar per-jump loop
 bit for bit (tests/test_sampler_equivalence.py keeps that loop as the
-reference).
+reference).  A call tallies its trajectories into one (trajectory, channel)
+count array and one (trajectory, state) occupation array, each trajectory
+writing its own row; the record totals are computed from the counts after
+the last walk, a block of trajectories at a time.
 """
 
 from __future__ import annotations
@@ -53,6 +56,9 @@ _MAX_EXPECTED_JUMPS = 1e9
 # What a trajectory costs even when it makes no jump (seeding its generator, its first
 # block of exponentials, its statistics), in jumps; counted against _MAX_EXPECTED_JUMPS.
 _TRAJECTORY_JUMPS = 500
+# Record totals are computed for blocks of trajectories with at most this many (trajectory,
+# record, channel) cells, so their terms never take n x q x E doubles at once.
+_TOTALS_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -140,7 +146,7 @@ class _ChannelTable:
     leads to, and ``split`` (the number of cells) for a split cell, so that
     the next lookup fails; ``leads`` is the same as an array, with N for a
     split cell.  A state without outgoing rate fires the sentinel E + s,
-    which leads back to s.
+    which leads back to s; ``absorbing`` says whether there is one.
 
     The walk looks up ``lookup`` once per ``span`` jumps (see ``compose``);
     until a table is composed, ``span`` is 1 and ``lookup`` is ``step``.
@@ -194,6 +200,7 @@ class _ChannelTable:
         del passed
         stuck = np.flatnonzero(escape <= 0)
         fire[:, stuck] = n_ch + stuck
+        self.absorbing = stuck.size > 0
         self.fire = fire.ravel()
         self.split = self.fire.size
         leads = np.concatenate((arrays.to_state, np.arange(n))).astype(np.int32)[self.fire]
@@ -203,6 +210,8 @@ class _ChannelTable:
         self.leads = leads
         self.span, self.lookup, self.radix = 1, self.step, None
         self.escape = escape
+        # one block of exponentials and one of uniforms, reused by every walk over the table
+        self.exp, self.uni = np.empty((2, _BLOCK))
         self.to_state = arrays.to_state.tolist()
         self._breaks = b.tolist()
         self._first_break = np.concatenate(([0], np.cumsum(np.bincount(owner[inner], minlength=n)))).tolist()
@@ -287,8 +296,6 @@ class _Walk:
         self.gen = gen
         self.state = state
         self.rate = rate
-        self.exp = None
-        self.uni = np.empty(_BLOCK)
         self.cursor = self.drawn = _BLOCK
         self.absorbed = False
 
@@ -331,11 +338,12 @@ class _Walk:
         after)`` in jump order; nothing is kept between chunks.
         """
         tab = self.table
+        exp, uni = tab.exp, tab.uni
         t = 0.0
         made = 0
         while True:
             if self.cursor == _BLOCK:  # cursor <= drawn, so every uniform of the block is drawn
-                self.exp = self.gen.standard_exponential(size=_BLOCK)  # = exponential(), bit for bit
+                self.gen.standard_exponential(out=exp)  # = exponential(size=_BLOCK), bit for bit
                 self.cursor = self.drawn = 0
             c = self.cursor
             if budget < math.inf:
@@ -346,18 +354,22 @@ class _Walk:
                 want = int(expected + 3.0 * math.sqrt(expected)) + 16
             k = min(_BLOCK - c, want)
             if c + k > self.drawn:
-                self.gen.random(out=self.uni[self.drawn:c + k])
+                self.gen.random(out=uni[self.drawn:c + k])
                 self.drawn = c + k
-            us = self.uni[c:c + k]
+            us = uni[c:c + k]
             offsets = tab.offsets(us)
             path, resolved = self._path(tab.chained(offsets), us)
             states = tab.fill(np.fromiter(path, dtype=np.intp, count=len(path)), offsets)
             before = states[:k]
             esc = tab.escape[before]
-            dead = np.flatnonzero(esc <= 0)
-            a = int(dead[0]) if dead.size else k
-            dt = self.exp[c:c + a] / esc[:a]
-            times = np.add.accumulate(np.concatenate(([t], dt)))
+            a = k
+            if tab.absorbing and (dead := np.flatnonzero(esc <= 0)).size:
+                a = int(dead[0])
+            waits = np.empty(a + 1)  # t, then the waits: their running sums are the jump times
+            waits[0] = t
+            dt = waits[1:]
+            np.divide(exp[c:c + a], esc[:a], out=dt)
+            times = np.add.accumulate(waits)
             g = int(np.searchsorted(times[1:], limit, side))
             if g < a:
                 jumps = g if times[g + 1] > limit else g + 1
@@ -382,11 +394,15 @@ class _Walk:
 
 
 class _Tally:
-    """One trajectory's jump counts, occupation and dump lines, a chunk at a time."""
+    """One trajectory's jump counts, occupation and dump lines, a chunk at a time.
 
-    def __init__(self, n_states: int, n_channels: int, dump: IO[str] | None):
-        self.counts = np.zeros(n_channels, dtype=np.int64)
-        self.occupation = np.zeros(n_states)
+    ``counts`` and ``occupation`` are the trajectory's rows of the call's
+    arrays, added to in place.
+    """
+
+    def __init__(self, counts: np.ndarray, occupation: np.ndarray, dump: IO[str] | None):
+        self.counts = counts
+        self.occupation = occupation
         self.dump = dump
 
     def __call__(self, fired, before, waits, times, after) -> None:
@@ -415,7 +431,7 @@ def _initial_sampler(net: ChannelNetwork, cfg: SimConfig):
             p = checked_probability(cfg.initial, net.n_states)
         except ValidationError:
             raise ValidationError("initial must be a probability vector over the states") from None
-    return None, np.cumsum(p)
+    return None, np.cumsum(p).tolist()
 
 
 def _jump_rate(net: ChannelNetwork, escape: np.ndarray) -> float:
@@ -450,6 +466,29 @@ def _check_expected_jumps(net: ChannelNetwork, cfg: SimConfig, escape: np.ndarra
     return expected
 
 
+def _record_totals(net: ChannelNetwork, counts: np.ndarray) -> list[dict[str, float]]:
+    """Each trajectory's record totals from its row of ``counts``.
+
+    A total is the exact sum of increment * count over the channels with a
+    nonzero count.  The terms are formed for blocks of trajectories of at
+    most _TOTALS_CELLS (trajectory, record, channel) cells, in trajectory
+    order, so the first total past the largest double is the one a
+    trajectory-by-trajectory sum would refuse first.
+    """
+    increments = net.arrays.increments
+    whats = [f"total of record {rec!r}" for rec in net.records]
+    rows = max(1, _TOTALS_CELLS // max(1, increments.size))
+    totals = []
+    for first in range(0, len(counts), rows):
+        block = counts[first:first + rows]
+        k, e = np.nonzero(block)  # trajectory-major, as the terms are consumed
+        terms = [iter(row) for row in (increments[:, e] * block[k, e]).tolist()]
+        for used in np.bincount(k, minlength=len(block)).tolist():
+            totals.append({rec: finite_fsum(itertools.islice(row, used), what)
+                           for rec, row, what in zip(net.records, terms, whats)})
+    return totals
+
+
 def simulate(net: ChannelNetwork, cfg: SimConfig, dump: IO[str] | None = None) -> list[TrajectoryStats]:
     """Run independent trajectories and collect per-trajectory statistics.
 
@@ -459,9 +498,15 @@ def simulate(net: ChannelNetwork, cfg: SimConfig, dump: IO[str] | None = None) -
     line per jump, prefixed by a "# trajectory k" line per trajectory.  A
     run expected to make more than 1e9 jumps, counting 500 per trajectory,
     is a ValidationError; nothing is written to ``dump`` before it starts.
-    A record total past the largest double is a NumericalError, raised after
-    ``dump`` got the jumps so far.  A walk's first chunk is sized from
-    ``_jump_rate``; chunking changes no stream, statistic or dump line.
+    A walk's first chunk is sized from ``_jump_rate``; chunking changes no
+    stream, statistic or dump line.
+
+    The trajectories are tallied into one (trajectory, channel) count array
+    and one (trajectory, state) occupation array; each returned
+    ``jump_counts`` and ``occupation`` is a read-only row of them.  The
+    record totals are computed from the counts after the last trajectory,
+    so a total past the largest double is a NumericalError raised after
+    ``dump`` got every trajectory's jumps.
     """
     table = _ChannelTable(net)
     table.compose(_check_expected_jumps(net, cfg, table.escape))
@@ -471,48 +516,44 @@ def simulate(net: ChannelNetwork, cfg: SimConfig, dump: IO[str] | None = None) -
         warnings.warn("simulating a non-ergodic network", stacklevel=2)
     fixed_initial, init_cum = _initial_sampler(net, cfg)
     rate = _jump_rate(net, table.escape)  # sizes each walk's first chunk
-    increments = net.arrays.increments
     time_mode = cfg.t_max is not None
     horizon = cfg.t_max if time_mode else math.inf
     budget = math.inf if time_mode else cfg.max_jumps
 
-    results: list[TrajectoryStats] = []
+    n = cfg.n_trajectories
+    # counts are whole numbers far below 2**53, so adding them as doubles is exact
+    counts = np.zeros((n, net.n_channels))
+    occupation = np.zeros((n, net.n_states))
+    elapsed, absorbed = [], []
     # a wait or jump time past the largest double is inf and passes every window;
     # an infinite record total is refused by finite_fsum
     with np.errstate(over="ignore"):
-        for k in range(cfg.n_trajectories):
+        for k in range(n):
             gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, k))))
             if fixed_initial is not None:
                 s = fixed_initial
             else:
-                s = min(int(np.searchsorted(init_cum, gen.random(), "right")), net.n_states - 1)
+                s = min(bisect_right(init_cum, gen.random()), net.n_states - 1)
             walk = _Walk(table, gen, s, rate)
             if cfg.burn_in > 0:
                 walk.run(cfg.burn_in, math.inf, "left")  # same dynamics, nothing recorded
             if dump is not None:
                 dump.write(f"# trajectory {k}\n")
-            tally = _Tally(net.n_states, net.n_channels, dump)
-            t = walk.run(horizon, budget, "right", tally)
-            occupation = tally.occupation
+            t = walk.run(horizon, budget, "right", _Tally(counts[k], occupation[k], dump))
             if time_mode:
-                occupation[walk.state] += horizon - t
+                occupation[k, walk.state] += horizon - t
                 t = horizon
-            counts = tally.counts.astype(float)
-            used = np.flatnonzero(counts)
-            terms = (increments[:, used] * counts[used]).tolist()
-            counts.flags.writeable = False
-            occupation.flags.writeable = False
-            results.append(
-                TrajectoryStats(
-                    totals={rec: finite_fsum(row, f"total of record {rec!r}") for rec, row in zip(net.records, terms)},
-                    jump_counts=counts,
-                    elapsed=t,
-                    n_jumps=int(tally.counts.sum()),
-                    absorbed=walk.absorbed,
-                    occupation=occupation,
-                )
-            )
-    return results
+            elapsed.append(t)
+            absorbed.append(walk.absorbed)
+        totals = _record_totals(net, counts)
+    n_jumps = counts.sum(axis=1).astype(np.int64).tolist()
+    counts.flags.writeable = False
+    occupation.flags.writeable = False
+    return [
+        TrajectoryStats(totals=totals[k], jump_counts=counts[k], elapsed=elapsed[k], n_jumps=n_jumps[k],
+                        absorbed=absorbed[k], occupation=occupation[k])
+        for k in range(n)
+    ]
 
 
 def _finite(report: CumulantReport) -> CumulantReport:

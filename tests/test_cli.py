@@ -514,13 +514,15 @@ def test_step_whose_square_overflows_is_unused_without_records(tmp_path, capsys)
 @pytest.mark.parametrize(
     "argv, generators, solves",
     [
-        (["analyze", None], 1, 2),
-        (["analyze", None, "--fd"], 1, 2),
+        (["analyze", None], 1, 1),
+        (["analyze", None, "--fd"], 1, 1),
+        (["analyze", None, "--tol", "1e-10"], 1, 1),  # DEFAULT_TOL given explicitly
+        (["analyze", None, "--tol", "1e-8"], 1, 2),  # the report's check, then the cached solve
         (["simulate", None, "--seed", "1", "--trajectories", "3", "--horizon", "2"], 1, 1),
         (["bounds", None, "--direction", "heat_total=1"], 1, 1),
         (["twin-demo"], 2, 2),
     ],
-    ids=["analyze", "analyze-fd", "simulate", "bounds", "twin-demo"],
+    ids=["analyze", "analyze-fd", "analyze-default-tol", "analyze-other-tol", "simulate", "bounds", "twin-demo"],
 )
 def test_each_network_is_assembled_and_solved_once(argv, generators, solves, twin_model, monkeypatch):
     from chanjump import cli, linalg, network

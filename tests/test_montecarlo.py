@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import io
 import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +27,7 @@ from chanjump import montecarlo
 from chanjump.montecarlo import _ChannelTable, _check_expected_jumps, _jump_rate
 
 from conftest import make_network, random_network, two_state_cycle
+from test_sampler_equivalence import _bits
 
 
 def test_simulation_is_deterministic():
@@ -347,3 +350,80 @@ def test_a_non_finite_initial_distribution_is_refused(initial):
     cfg = SimConfig(n_trajectories=2, seed=1, t_max=1.0, initial=initial)
     with pytest.raises(ValidationError, match="initial must be a probability vector"):
         simulate(two_state_cycle(), cfg)
+
+
+def _stats_bits(st):
+    return (list(st.totals), _bits(list(st.totals.values())), _bits(st.jump_counts), _bits(st.occupation),
+            _bits(st.elapsed), st.n_jumps, st.absorbed)
+
+
+def _span(net, cfg):
+    table = _ChannelTable(net)
+    table.compose(_check_expected_jumps(net, cfg, table.escape))
+    return table.span
+
+
+@pytest.mark.filterwarnings("ignore:simulating a non-ergodic network")
+@pytest.mark.parametrize("totals_cells", [None, 1])
+@pytest.mark.parametrize("window", [{"t_max": 30.0}, {"max_jumps": 25, "burn_in": 2.0}], ids=["time", "jumps"])
+@pytest.mark.parametrize("case", ["twin", "absorbing", "coarse"])
+def test_a_trajectory_does_not_depend_on_how_many_the_call_runs(case, window, totals_cells, monkeypatch):
+    # the call's expected jump count sets the composed span, so the short calls walk
+    # with other lookups and chunk groupings than the 40-trajectory call
+    if case == "twin":
+        net = build_dot(twin_dot_spec())
+    elif case == "absorbing":
+        net = make_network(
+            ["a", "b", "c"],
+            [(0, 1, "r", 1.0, "", {"n": 1.0}), (0, 2, "r", 0.01), (1, 0, "r", 0.5), (1, 0, "q", 0.7),
+             (1, 2, "r", 0.05, "", {"n": -2.0}), (2, 0, "r", 0.0)],
+            ["n"],
+        )
+    else:
+        monkeypatch.setattr(montecarlo, "_TABLE_CELLS", 8)
+        monkeypatch.setattr(montecarlo, "_CELLS_PER_CHANNEL", 0)
+        net = random_network(np.random.default_rng(9100), max_parallel=4)
+        table = _ChannelTable(net)
+        assert table.split in table.step
+    cfg = dict(seed=61, initial=0, **window)
+    full = SimConfig(n_trajectories=40, **cfg)
+    whole = [_stats_bits(st) for st in simulate(net, full)]  # one block of totals
+    if totals_cells is not None:
+        monkeypatch.setattr(montecarlo, "_TOTALS_CELLS", totals_cells)  # a block per trajectory
+    spans = set()
+    for k in (0, 3, 11, 39):
+        short = SimConfig(n_trajectories=k + 1, **cfg)
+        spans.add(_span(net, short))
+        assert _stats_bits(simulate(net, short)[k]) == whole[k]
+    if case == "twin":  # a split cell, or a stationary state on an absorbing one, keeps span 1
+        assert len(spans | {_span(net, full)}) > 1
+    if case == "absorbing":
+        assert any(st[-1] for st in whole) and not all(st[-1] for st in whole)
+
+
+def test_totals_are_summed_a_block_of_trajectories_at_a_time():
+    # 400 trajectories over q = 16 records and E = 640 channels: an n x q x E product of
+    # their terms would take about 33 MB; the channel table, the draw buffers and one
+    # block of terms fit in the 2 MB allowed beyond what the returned stats hold
+    rng = np.random.default_rng(640)
+    n, q = 20, 16
+    records = [f"x{r}" for r in range(q)]
+    channels = [(a, b, f"r{m}", float(rng.uniform(0.5, 1.5)), "", dict(zip(records, rng.normal(size=q).tolist())))
+                for i in range(n) for a, b in ((i, (i + 1) % n), ((i + 1) % n, i)) for m in range(16)]
+    net = make_network([f"s{i}" for i in range(n)], channels, records)
+    assert (net.n_channels, len(net.records)) == (640, 16)
+    cfg = SimConfig(n_trajectories=400, seed=5, t_max=2.0, initial=0)
+    simulate(net, SimConfig(n_trajectories=1, seed=5, t_max=2.0, initial=0))  # the network's own caches
+    tracemalloc.start()
+    try:
+        stats = simulate(net, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = {id(a.base if a.base is not None else a): a.base if a.base is not None else a
+              for st in stats for a in (st.jump_counts, st.occupation)}
+    held = sum(a.nbytes for a in arrays.values()) + sum(
+        sys.getsizeof(st) + sys.getsizeof(st.__dict__) + sys.getsizeof(st.totals)
+        + sum(map(sys.getsizeof, st.totals.values())) for st in stats)
+    assert sum(st.n_jumps for st in stats) > 10 * net.n_channels
+    assert peak < held + 2_000_000
