@@ -171,6 +171,8 @@ def _parse_direction(pairs: list[str]) -> dict[str, float]:
         name, sep, weight = item.partition("=")
         if not sep or not name:
             raise ValidationError(f"--direction expects record=weight, got {item!r}")
+        if name in direction:
+            raise ValidationError(f"--direction gives record {name!r} twice")
         try:
             value = float(weight)
         except ValueError:

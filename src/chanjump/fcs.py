@@ -251,8 +251,12 @@ def _perron_roots(M: np.ndarray, net: ChannelNetwork) -> list[float]:
     starts with Newton.  Both iterations converge to |dlam| <= tol = 4 eps
     max(1, max |M|) and stop each point on its own values alone, so a
     point's value does not depend on the other points of the stack.
+    Without a stationary state every point goes to ``_dominant_eigenvalues``.
     """
-    p = net.stationary.p
+    try:
+        p = net.stationary.p
+    except NumericalError:
+        return _dominant_eigenvalues(M)
     tol = 4 * _EPS * _scale(M)
     lam = np.full(len(M), np.nan)  # NaN until certified
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite M fails to converge
@@ -347,12 +351,7 @@ def scgf(net: ChannelNetwork, chi: Mapping[str, float]) -> float:
     without a stationary state, through a full eigensolve
     (``np.linalg.eigvals``) instead.
     """
-    M = tilted_generator(net, chi)[None]
-    try:
-        net.stationary
-    except NumericalError:
-        return _dominant_eigenvalues(M)[0]
-    return _perron_roots(M, net)[0]
+    return _perron_roots(tilted_generator(net, chi)[None], net)[0]
 
 
 def analytic_cumulants(net: ChannelNetwork) -> CumulantReport:

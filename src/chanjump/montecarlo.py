@@ -34,7 +34,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NonErgodicError, NumericalError, ValidationError
 from .fcs import CumulantReport
 from .network import ChannelNetwork, all_integers, checked_number, checked_probability, finite_fsum, graph_walk
 
@@ -422,7 +422,7 @@ def _initial_sampler(net: ChannelNetwork, cfg: SimConfig):
     if cfg.initial is None:
         try:
             p = net.stationary.p
-        except NumericalError:
+        except NonErgodicError:  # any other failed solve is a numerical error, exit 2
             raise ValidationError(
                 "network is not ergodic; pass an explicit initial state or distribution"
             ) from None

@@ -126,9 +126,11 @@ class ChannelNetwork:
 
     @property
     def stationary(self):
-        """Stationary state of ``generator`` at DEFAULT_TOL, cached; NonErgodicError on every access if none.
+        """Stationary state of ``generator`` at DEFAULT_TOL, cached.
 
-        A failed solve is cached too: every access re-raises its error.
+        A failed solve is cached too: every access re-raises its error, a
+        NonErgodicError if there is no unique stationary state or the
+        NumericalError the solve raised otherwise.
         """
         return _outcome(self._stationary)
 

@@ -8,6 +8,8 @@ round-tripped library calls.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,14 @@ def twin_spec():
 @pytest.fixture
 def twin_net():
     return build_dot(twin_dot_spec())
+
+
+def read_report(path):
+    """The JSON report at ``path`` (a Path), which must be json.dumps(sort_keys=True, indent=2) byte for byte."""
+    text = path.read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True, indent=2), path
+    return report
 
 
 def make_network(states, channel_tuples, records):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import time
 import warnings
 
@@ -11,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanjump import build_dot, serialize_network, twin_dot_spec
+from chanjump import NumericalError, build_dot, serialize_network, twin_dot_spec
 from chanjump.cli import main
 
-from conftest import J_HEAT_TOTAL, TWIN_HEAT_DIFF
+from conftest import J_HEAT_TOTAL, TWIN_HEAT_DIFF, read_report
 
 
 @pytest.fixture
@@ -185,6 +186,13 @@ def test_bounds_refuses_a_non_finite_direction_weight(weight, twin_model, capsys
     assert f"validation error: bad weight in --direction 'heat_total={weight}'" in err and "Traceback" not in err
 
 
+def test_bounds_refuses_a_record_given_twice(twin_model, capsys):
+    # the second weight once replaced the first without a word
+    assert run(["bounds", twin_model, "--direction", "heat_L=1", "--direction", "heat_L=2"]) == 1
+    err = capsys.readouterr().err
+    assert "validation error: --direction gives record 'heat_L' twice" in err and "Traceback" not in err
+
+
 def test_twin_demo_refuses_a_nan_temperature(capsys):
     # the message once named "channel 0: rate" instead of the temperature
     assert run(["twin-demo", "--temp", "nan"]) == 1
@@ -200,6 +208,20 @@ def test_twin_demo_defaults(tmp_path):
     assert abs(t["heat_total_mean_difference"] - TWIN_HEAT_DIFF) < 1e-13
     assert t["heat_noise_difference_norm"] > 1e-3
     assert t["stationary_max_diff"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--eta", "-0.2"], ["--gain", "R", "--lose", "L", "--eta", "0.15"]], ids=["defaults", "eta", "gain-R"]
+)
+def test_twin_networks_share_every_state_level_output(flags, tmp_path):
+    out = tmp_path / "t.json"
+    assert run(["twin-demo", *flags, "--json", str(out)]) == 0
+    t = read_report(out)["twin"]
+    assert t["generators_bitwise_equal"] is True
+    assert t["stationary_max_diff"] == 0
+    assert t["entropy_coarse_difference"] == 0.0
+    assert t["entropy_resolved_difference"] != 0
+    assert t["heat_noise_difference_norm"] > 0
 
 
 def test_twin_demo_zero_eta(tmp_path):
@@ -308,6 +330,7 @@ def test_simulate_solves_a_non_ergodic_network_once(tmp_path, monkeypatch):
         ["bounds", None, "--direction", "heat_total=1"],
         ["twin-demo"],
         ["simulate", None, "--seed", "5", "--trajectories", "20", "--horizon", "20"],
+        ["simulate", None, "--seed", "1", "--trajectories", "4", "--jumps", "50"],
     ],
 )
 def test_reports_are_bitwise_deterministic(argv, twin_model, tmp_path):
@@ -317,6 +340,7 @@ def test_reports_are_bitwise_deterministic(argv, twin_model, tmp_path):
     assert run(args + ["--json", str(out1)]) == 0
     assert run(args + ["--json", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    read_report(out1)
 
 
 def test_simulate_jump_budget_reports_pooled_means(twin_model, tmp_path, capsys):
@@ -340,23 +364,50 @@ def test_simulate_jump_budget_reports_pooled_means(twin_model, tmp_path, capsys)
     assert sum(1 for line in dump.read_text().splitlines() if not line.startswith("#")) == 40 * 300
 
 
+def _dot(**changes):
+    """A two-level dot document; ``changes`` replace its top-level entries or, by name, its first coupling's."""
+    dot = {"levels": [1.0, 0.3], "reservoirs": [{"name": "L", "mu": 0.5, "T": 1.0}, {"name": "R", "mu": -0.5, "T": 1.0}],
+           "couplings": [{"level": 0, "reservoir": "L", "gamma": 1.0}, {"level": 1, "reservoir": "R", "gamma": 1.0}]}
+    for key, value in changes.items():
+        (dot if key in dot else dot["couplings"][0])[key] = value
+    return {"dot": dot}
+
+
+def _labelled(**labels):
+    """A two-state document whose second channel has the given reservoir and filter labels."""
+    return {"states": ["a", "b"], "records": [], "channels": [
+        {"from": "a", "to": "b", "reservoir": "r", "rate": 1.0}, {"from": "b", "to": "a", "rate": 1.0, **labels}]}
+
+
+_DOT = "validation error: malformed 'dot' description: "
+
+
 @pytest.mark.parametrize(
-    "doc",
+    "doc, message",
     [
-        {"states": ["a", "b"], "records": ["n"],
-         "channels": [{"from": "a", "to": "b", "reservoir": "r", "rate": 1.0, "increments": {"n": "oops"}}]},
-        {"states": [["a"], "b"], "records": [],
-         "channels": [{"from": "b", "to": "b", "reservoir": "r", "rate": 1.0}]},
-        {"states": ["a", "b"], "records": [], "channels": 5},
+        ({"states": ["a", "b"], "records": ["n"], "channels": [
+            {"from": "a", "to": "b", "reservoir": "r", "rate": 1.0, "increments": {"n": "oops"}}]}, "validation error:"),
+        ({"states": [["a"], "b"], "records": [],
+          "channels": [{"from": "b", "to": "b", "reservoir": "r", "rate": 1.0}]}, "validation error:"),
+        ({"states": ["a", "b"], "records": [], "channels": 5}, "validation error:"),
+        (_dot(level=1.7), _DOT + "coupling references unknown level 1.7"),
+        (_dot(levels="12"), _DOT + "'levels' must be an array"),
+        (_dot(couplings=[{"level": 0, "reservoir": "L", "gamma": 1.0}] * 2), _DOT + "coupling (0, 'L', '') appears twice"),
+        (_dot(reservoirs=[{"name": "L", "mu": 0.5, "T": math.nan}]), _DOT + "reservoir 'L' needs a finite mu and temperature > 0"),
+        (_labelled(reservoir=5), "validation error: channel 1: reservoir must be a string, got 5"),
+        (_labelled(filter=None), "validation error: channel 1: filter must be a string, got None"),
+        (_dot(level=[0]), _DOT + "coupling 0: 'level' must not be an array or an object, got [0]"),
     ],
-    ids=["increment-not-a-number", "state-name-is-a-list", "channels-not-an-array"],
+    ids=["increment-not-a-number", "state-name-is-a-list", "channels-not-an-array", "dot-level-1.7",
+         "dot-levels-a-string", "dot-repeated-coupling", "dot-nan-temperature", "reservoir-a-number",
+         "filter-null", "dot-level-an-array"],
 )
-def test_malformed_documents_are_validation_errors(doc, tmp_path, capsys):
+def test_malformed_documents_are_validation_errors(doc, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run(["analyze", str(path)]) == 1
     err = capsys.readouterr().err
-    assert "validation error:" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
 
 
 def _channel(frm, to, reservoir, rate, **increments):
@@ -714,6 +765,19 @@ def test_a_refused_simulate_leaves_the_dump_untouched(flags, message, twin_model
     err = capsys.readouterr().err
     assert f"validation error: {message}" in err and "Traceback" not in err
     assert dump.read_text() == "an earlier run\n"
+
+
+def test_a_failed_stationary_solve_is_a_numerical_error_in_simulate(twin_model, monkeypatch, capsys):
+    # simulate once read any failed solve as "network is not ergodic" and exited 1
+    from chanjump import linalg
+
+    def fail(L):
+        raise NumericalError("stationary vector has a negative entry -5.55112e-11")
+
+    monkeypatch.setattr(linalg, "stationary_state", fail)
+    assert run(["simulate", twin_model, "--seed", "1", "--trajectories", "4", "--horizon", "1e-6"]) == 2
+    err = capsys.readouterr().err
+    assert "numerical error: stationary vector has a negative entry -5.55112e-11" in err and "Traceback" not in err
 
 
 def test_simulate_counts_a_cost_per_trajectory(twin_model, tmp_path, capsys):

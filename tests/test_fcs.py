@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from chanjump import (
     tilted_null_variation,
     twin_dot_spec,
 )
+from chanjump import cli, fcs
 
 from conftest import (
     F_L,
@@ -35,6 +37,7 @@ from conftest import (
     TWIN_HEAT_DIFF,
     make_network,
     random_network,
+    read_report,
     two_state_cycle,
 )
 
@@ -411,3 +414,58 @@ def test_a_state_function_record_never_reads_as_a_negative_variance(decades):
         except NumericalError:  # stiff rates can leave no stationary state the solver accepts
             continue
         noise_matrix(net)
+
+
+def ring20_document() -> dict:
+    """A 20-state ring with 20 random chords, 4 channels per ordered pair and 8 records."""
+    rng = np.random.default_rng(2026)
+    n, q = 20, 8
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [tuple(int(s) for s in rng.choice(n, 2, replace=False)) for _ in range(n)]
+    records = [f"x{r}" for r in range(q)]
+    channels = [
+        {"from": f"s{a}", "to": f"s{b}", "reservoir": f"r{k}", "rate": float(rng.uniform(0.5, 1.5)),
+         "increments": dict(zip(records, rng.normal(size=q).tolist()))}
+        for i, j in pairs for a, b in ((i, j), (j, i)) for k in range(4)
+    ]
+    return {"states": [f"s{i}" for i in range(n)], "records": records, "channels": channels}
+
+
+DOT3 = {"dot": {
+    "levels": [0.3, 1.0, -0.6],
+    "reservoirs": [{"name": "L", "mu": 0.5, "T": 1.0}, {"name": "R", "mu": -0.5, "T": 0.5}, {"name": "H", "mu": 0.0, "T": 2.0}],
+    "couplings": [{"level": i, "reservoir": r, "gamma": g} for i, g in enumerate([1.0, 0.7, 1.3]) for r in "LRH"]
+    + [{"level": 1, "reservoir": "H", "filter": "b", "gamma": 0.4}],
+}}
+
+
+def analyze_fd(document: dict, tmp_path, name: str):
+    """``analyze --fd`` on the document; its report path, once FD agrees with the analytic cumulants."""
+    model, out = tmp_path / f"{name}.json", tmp_path / f"fd_{name}.json"
+    model.write_text(json.dumps(document))
+    assert cli.main(["analyze", str(model), "--fd", "--json", str(out)]) == 0
+    report = read_report(out)
+    an, fd = report["cumulants_analytic"], report["cumulants_finite_difference"]
+    scale = max([1.0] + [abs(v) for v in an["means"].values()])
+    assert max(abs(fd["means"][k] - an["means"][k]) for k in an["means"]) <= 1e-6 * scale
+    S_an, S_fd = np.array(an["noise"]), np.array(fd["noise"])
+    assert np.abs(S_an - S_fd).max() <= 1e-4 * max(1.0, float(np.abs(S_an).max()))
+    return model, out
+
+
+def test_the_ring20_fd_stack_stays_on_the_chord(tmp_path, monkeypatch):
+    fallbacks = []
+    for name in ("_newton_roots", "_dominant_eigenvalues"):
+        fn = getattr(fcs, name)
+        monkeypatch.setattr(fcs, name, lambda M, *args, fn=fn, name=name: fallbacks.append((name, len(M))) or fn(M, *args))
+    model, first = analyze_fd(ring20_document(), tmp_path, "ring20")
+    assert not fallbacks, f"the chord left ring20 points to a fallback: {fallbacks}"
+    again = tmp_path / "fd_ring20_again.json"
+    assert cli.main(["analyze", str(model), "--fd", "--json", str(again)]) == 0
+    assert first.read_bytes() == again.read_bytes()
+
+
+def test_fd_and_bounds_on_a_dot_with_several_levels_temperatures_and_filters(tmp_path):
+    model = analyze_fd(DOT3, tmp_path, "dot3")[0]
+    out = tmp_path / "bounds_dot3.json"
+    assert cli.main(["bounds", str(model), "--direction", "heat_total=1", "--json", str(out)]) == 0
+    read_report(out)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,15 +20,16 @@ from chanjump import (
     build_generator,
     empirical_cumulants,
     make_twin,
+    serialize_network,
     simulate,
     stationary_state,
     twin_dot_spec,
 )
 
-from chanjump import montecarlo
+from chanjump import cli, montecarlo
 from chanjump.montecarlo import _ChannelTable, _check_expected_jumps, _jump_rate
 
-from conftest import make_network, random_network, two_state_cycle
+from conftest import make_network, random_network, read_report, two_state_cycle
 from test_sampler_equivalence import _bits
 
 
@@ -166,6 +169,19 @@ def test_disconnected_network_needs_explicit_initial():
     with pytest.warns(UserWarning):
         stats = simulate(net, SimConfig(n_trajectories=2, seed=0, t_max=1.0, initial=2))
     assert all(st.occupation[:2].sum() == 0.0 for st in stats)
+
+
+def test_the_pinned_seed_twin_run_reproduces_the_benchmark_reference(tmp_path):
+    # the benchmark's reference payload, read here and never written
+    model, out = tmp_path / "twin.json", tmp_path / "twin_ref.json"
+    model.write_text(serialize_network(build_dot(twin_dot_spec())))
+    argv = ["simulate", str(model), "--seed", "2024", "--trajectories", "50", "--horizon", "1000.0", "--json", str(out)]
+    assert cli.main(argv) == 0
+    report = read_report(out)
+    got = {key: report[key] for key in ("cumulants_monte_carlo", "simulation")}
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "twin_reference.json"
+    want = json.loads(reference.read_text())["full"]["payload"]
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_jump_budget_mode():
