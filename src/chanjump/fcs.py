@@ -12,8 +12,7 @@ cross-check on the dominant eigenvalue (Bagrets and Nazarov, PRB 67, 085316
 its Perron root, and a positive eigenvector certifies it.  A chord
 iteration on the network's cached Drazin inverse finds it from the
 stationary state with two mat-vecs a step; a point it does not certify
-goes through bordered Newton, and a point still without the certificate
-through a full eigensolve (``np.linalg.eigvals``).  The whole stencil is
+goes through a full eigensolve (``np.linalg.eigvals``).  The whole stencil is
 tilted as one stack, in chunks of bounded size, and each point is bitwise
 what ``scgf`` returns for it, since one path assembles and solves both.
 
@@ -50,8 +49,7 @@ __all__ = [
 
 _MAX_EXPONENT = 700.0  # exp overflow threshold for doubles
 _EPS = float(np.finfo(float).eps)
-_CHORD_STEPS = 12  # chord steps before a point falls back to bordered Newton
-_NEWTON_STEPS = 8  # bordered Newton steps before a point falls back to eigvals
+_CHORD_STEPS = 12  # chord steps before a point falls back to eigvals
 # A noise diagonal below -_VARIANCE_SLACK * eps (2**-6, about 0.016) times the size of the
 # terms that form it is a negative variance, not rounding.  The SVD stationary state loses
 # relative accuracy on stiff rates, so the bound is loose: a state-function record, whose
@@ -135,18 +133,6 @@ def _dominant_eigenvalues(M: np.ndarray) -> list[float]:
     return lam.real.tolist()
 
 
-def _bordered_solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve every system of the stack; a singular one gives NaN, not an error for all."""
-    try:
-        return np.linalg.solve(B, rhs)
-    except np.linalg.LinAlgError:
-        out = np.full(rhs.shape, np.nan)
-        for k in range(len(B)):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                out[k] = np.linalg.solve(B[k], rhs[k])
-        return out
-
-
 def _chord_roots(M: np.ndarray, p: np.ndarray, R: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """Perron roots by a chord iteration on the untilted bordered system; NaN where not certified.
 
@@ -203,69 +189,28 @@ def _chord_roots(M: np.ndarray, p: np.ndarray, R: np.ndarray, tol: np.ndarray) -
     return lam
 
 
-def _newton_roots(M: np.ndarray, p: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """Perron roots by bordered Newton; NaN where not certified.
-
-    Bordered Newton on (M - lam I) v = 0, 1.v = 1 (Peters and Wilkinson,
-    SIAM Rev. 21, 339 (1979)): from v = p and lam = 1.M p, each step solves
-    [[M - lam I, -v], [1, 0]] [v', dlam] = [0, 1] for every point still
-    running.  A point stops on its own once |dlam| <= tol, and is certified
-    if then v > 0; a singular system stops only its own point, and a point
-    still running after _NEWTON_STEPS steps is not certified.
-    """
-    K, n = M.shape[:2]
-    lam = np.full(K, np.nan)
-    B = np.zeros((K, n + 1, n + 1))  # reused: every step rewrites the first k systems
-    B[:, n, :n] = 1.0
-    rhs = np.zeros((K, n + 1, 1))
-    rhs[:, n] = 1.0
-    running = np.arange(K)
-    mu = (M @ p).sum(axis=1)
-    v = np.broadcast_to(p, (K, n))
-    for _ in range(_NEWTON_STEPS):
-        k = running.size
-        B[:k, :n, :n] = M if k == K else M[running]
-        B[:k, range(n), range(n)] -= mu[:, None]
-        B[:k, :n, n] = -v
-        x = _bordered_solve(B[:k], rhs[:k])[:, :, 0]
-        v, step = x[:, :n], x[:, n]
-        mu = mu + step
-        stop = ~(np.abs(step) > tol[running])  # converged, or NaN: the solve failed
-        certified = stop & np.isfinite(step) & (v > 0).all(axis=1)
-        lam[running[certified]] = mu[certified]
-        running, mu, v = running[~stop], mu[~stop], v[~stop]
-        if not running.size:
-            break
-    return lam
-
-
 def _perron_roots(M: np.ndarray, net: ChannelNetwork) -> list[float]:
     """Dominant eigenvalue of every matrix of the K x n x n stack of tilts of net's generator.
 
     A Metzler matrix's eigenvalue with a positive eigenvector is its
     dominant one, so a converged, entrywise positive v certifies lam.  Every
     point starts with the chord iteration on net's cached Drazin inverse
-    (``_chord_roots``); a point it does not certify goes through bordered
-    Newton (``_newton_roots``), and a point that is still not certified
-    through ``_dominant_eigenvalues``.  Without a Drazin inverse every point
-    starts with Newton.  Both iterations converge to |dlam| <= tol = 4 eps
-    max(1, max |M|) and stop each point on its own values alone, so a
-    point's value does not depend on the other points of the stack.
-    Without a stationary state every point goes to ``_dominant_eigenvalues``.
+    (``_chord_roots``), which converges to |dlam| <= tol = 4 eps
+    max(1, max |M|) and stops each point on its own values alone, so a
+    point's value does not depend on the other points of the stack.  A
+    point it does not certify, every point of a network without a Drazin
+    inverse and every point of one without a stationary state go to
+    ``_dominant_eigenvalues``.
     """
     try:
         p = net.stationary.p
     except NumericalError:
         return _dominant_eigenvalues(M)
-    tol = 4 * _EPS * _scale(M)
     lam = np.full(len(M), np.nan)  # NaN until certified
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite M fails to converge
-        with contextlib.suppress(ChanjumpError):  # no Drazin inverse: every point starts with Newton
-            lam = _chord_roots(M, p, net.drazin, tol)
-        rest = np.flatnonzero(np.isnan(lam))
-        if rest.size:
-            lam[rest] = _newton_roots(M[rest], p, tol[rest])
-            rest = np.flatnonzero(np.isnan(lam))
+        with contextlib.suppress(ChanjumpError):  # no Drazin inverse: every point goes to eigvals
+            lam = _chord_roots(M, p, net.drazin, 4 * _EPS * _scale(M))
+    rest = np.flatnonzero(np.isnan(lam))
     if rest.size:
         lam[rest] = _dominant_eigenvalues(M[rest])
     return lam.tolist()
@@ -298,10 +243,17 @@ def tilt_derivatives(net: ChannelNetwork, mu: str, nu: str) -> tuple[np.ndarray,
 
 
 def mean_currents(net: ChannelNetwork) -> dict[str, float]:
-    """Stationary mean rate of every declared record: D (rate * p_from)."""
+    """Stationary mean rate of every declared record: D (rate * p_from).
+
+    A mean past the largest double is a NumericalError, as in ``records.mean_record``.
+    """
     a = net.arrays
-    means = a.increments @ (a.rate * net.stationary.p[a.from_state])
-    return {rec: float(m) for rec, m in zip(net.records, means)}
+    with np.errstate(over="ignore"):
+        means = a.increments @ (a.rate * net.stationary.p[a.from_state])
+    overflow = np.flatnonzero(~np.isfinite(means))
+    if overflow.size:
+        raise NumericalError(f"the mean of record {net.records[overflow[0]]!r} exceeds the largest double")
+    return dict(zip(net.records, means.tolist()))
 
 
 def noise_matrix(net: ChannelNetwork) -> np.ndarray:
@@ -346,9 +298,8 @@ def scgf(net: ChannelNetwork, chi: Mapping[str, float]) -> float:
     Real and simple for irreducible networks; zero at chi = 0.  It is the
     Perron root of the tilted generator, found from the stationary state by
     a chord iteration on the network's cached Drazin inverse and certified
-    by a positive eigenvector.  A point the chord does not certify goes
-    through bordered Newton, and a point still not certified, or a network
-    without a stationary state, through a full eigensolve
+    by a positive eigenvector.  A point the chord does not certify, or a
+    network without a stationary state, goes through a full eigensolve
     (``np.linalg.eigvals``) instead.
     """
     return _perron_roots(tilted_generator(net, chi)[None], net)[0]
@@ -404,13 +355,15 @@ def cumulants_fd(net: ChannelNetwork, h: float = 1e-4) -> CumulantReport:
     record, -h on every record, then the four sign points of every pair), is
     tilted as one stack, split into chunks of about _STACK_CELLS cells, and
     each chunk's Perron roots are found together by ``scgf``'s path: the
-    chord on the network's Drazin inverse, then bordered Newton and
-    ``eigvals`` for the points it leaves; every point is bitwise what
-    ``scgf`` returns for it.  A failing chunk is replayed point by
-    point through ``scgf``; every earlier chunk succeeded, so the error
-    names the first failing point of the per-point loop.
+    chord on the network's Drazin inverse, then ``eigvals`` for the
+    points it leaves; every point is bitwise what ``scgf`` returns for it.
+    A failing chunk is replayed point by point through ``scgf``; every
+    earlier chunk succeeded, so the error names the first failing point of
+    the per-point loop.
     """
     net.stationary  # fail early on non-ergodic input
+    if not math.isfinite(h):
+        raise ValidationError(f"finite-difference step {h!r} must be finite")
     if h * h == 0:
         raise ValidationError(f"finite-difference step {h!r} is too small: its square is zero")
     recs = net.records

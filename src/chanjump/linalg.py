@@ -42,10 +42,9 @@ class KernelBasis:
     tolerance: float
 
 
-def _as_matrix(L) -> np.ndarray:
-    if isinstance(L, StateGenerator):
-        return L.matrix
-    return np.asarray(L, dtype=float)
+def _as_matrix(L, what: str) -> np.ndarray:
+    """L's matrix as floats, through ``_finite`` like every other entry point's."""
+    return _finite(L.matrix if isinstance(L, StateGenerator) else np.asarray(L, dtype=float), what)
 
 
 def stationary_state(L, tol: float = DEFAULT_TOL) -> StationaryState:
@@ -54,7 +53,7 @@ def stationary_state(L, tol: float = DEFAULT_TOL) -> StationaryState:
     Raises NonErgodicError (carrying the measured null dimension) when the
     zero eigenvalue is not simple at the given relative threshold.
     """
-    M = _as_matrix(L)
+    M = _as_matrix(L, "stationary_state")
     n = M.shape[0]
     _, s, Vh = np.linalg.svd(M)
     smax = s[0] if len(s) else 0.0
@@ -89,7 +88,7 @@ def drazin_inverse(L, p: StationaryState | np.ndarray | None = None) -> np.ndarr
     probability vector, or with |L p| past 1e-9 max|L| in some entry, is a
     ValidationError.
     """
-    M = _as_matrix(L)
+    M = _as_matrix(L, "drazin_inverse")
     n = M.shape[0]
     if p is None:
         p = stationary_state(M)

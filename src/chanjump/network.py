@@ -22,6 +22,7 @@ key builds an energy-filtered dot network (see :mod:`chanjump.dot`).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import operator
@@ -745,6 +746,7 @@ def shift_rate(net: ChannelNetwork, gain: int, lose: int, eta: float) -> Channel
 
     ``gain`` gets rate + eta or one ulp off it, ``lose`` the transition total minus the other rates (rounded once) or 0:
     whichever keeps the transition's ``fsum`` total, and so ``build_generator``, bit for bit.  eta == 0 returns ``net``.
+    The total is read from ``net.generator``, so a transition total past the largest double is its ValidationError.
     """
     a = net.arrays
     for e in (gain, lose):
@@ -758,16 +760,19 @@ def shift_rate(net: ChannelNetwork, gain: int, lose: int, eta: float) -> Channel
         raise ValidationError(f"eta {eta:g} out of range; must keep rates in [{-rate_g:g}, {rate_l:g}] nonnegative")
     if eta == 0.0:
         return net
-    members = a.grouped[slice(*a.spans[a.transition[gain]])].tolist()
+    t = a.transition[gain]
+    members = a.grouped[slice(*a.spans[t])].tolist()
     others = [r for e, r in zip(members, a.rate[members].tolist()) if e not in (gain, lose)]
-    total, seed = math.fsum([rate_g, rate_l, *others]), rate_g + eta
+    frm, to = a.pairs[t].tolist()
+    total, seed = float(net.generator.matrix[to, frm]), rate_g + eta  # the transition's fsum
     for g in (seed, math.nextafter(seed, math.inf), math.nextafter(seed, -math.inf)):
-        center = math.fsum([total, -g, *map(operator.neg, others)])
-        for l in (center, 0.0):
-            if min(g, l) >= 0 and math.fsum([g, l, *others]) == total:
-                channels = list(net.channels)
-                channels[gain], channels[lose] = replace(channels[gain], rate=g), replace(channels[lose], rate=l)
-                return ChannelNetwork(net.states, tuple(channels), net.records)
+        with contextlib.suppress(OverflowError):  # near the largest double: a sum that overflows is not the total
+            center = math.fsum([total, -g, *map(operator.neg, others)])
+            for l in (center, 0.0):
+                if min(g, l) >= 0 and math.fsum([g, l, *others]) == total:
+                    channels = list(net.channels)
+                    channels[gain], channels[lose] = replace(channels[gain], rate=g), replace(channels[lose], rate=l)
+                    return ChannelNetwork(net.states, tuple(channels), net.records)
     raise NumericalError("could not rebalance rates while preserving the generator")
 
 

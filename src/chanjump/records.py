@@ -82,7 +82,9 @@ def mean_record(net: ChannelNetwork, p, mu: str) -> float:
     (row,) = net.record_rows([mu])
     pv = checked_probability(p, net.n_states)
     a = net.arrays
-    return finite_fsum(a.increments[row] * a.rate * pv[a.from_state], f"the mean of record {mu!r}")
+    with np.errstate(over="ignore"):  # finite_fsum refuses a term that overflows
+        terms = a.increments[row] * a.rate * pv[a.from_state]
+    return finite_fsum(terms, f"the mean of record {mu!r}")
 
 
 def _conjugate_fluxes(a: ChannelArrays, pv: np.ndarray):

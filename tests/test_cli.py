@@ -9,10 +9,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chanjump import NumericalError, build_dot, serialize_network, twin_dot_spec
+from chanjump import NumericalError, ValidationError, build_dot, cumulants_fd, serialize_network, twin_dot_spec
 from chanjump.cli import main
 
 from conftest import J_HEAT_TOTAL, TWIN_HEAT_DIFF, read_report
@@ -536,6 +536,13 @@ def test_step_whose_square_underflows_is_an_input_error(twin_model, capsys):
     assert "validation error: finite-difference step 1e-300 is too small" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_step_is_refused_by_the_library(h):
+    # the CLI refuses these through --fd-step; the library names the step, not a record weight
+    with pytest.raises(ValidationError, match=f"^finite-difference step {h!r} must be finite$"):
+        cumulants_fd(build_dot(twin_dot_spec()), h)
+
+
 def test_step_whose_square_overflows_is_an_input_error(tmp_path, capsys):
     # zero increments keep every exponent at 0, so the stencil succeeds and only h**2 overflows
     path = tmp_path / "silent.json"
@@ -721,6 +728,20 @@ def test_simulate_does_not_drop_an_analytic_noise_overflow(tmp_path, capsys):
     ]}))
     assert run(["simulate", str(path), "--seed", "1", "--trajectories", "3", "--horizon", "1e-300"]) == 2
     assert "numerical error: noise matrix exceeds the largest double" in capsys.readouterr().err
+
+
+def test_a_failed_fd_eigensolve_is_a_numerical_error(tmp_path, capsys):
+    # at h = 50 the tilted rates 1e300 e^50 overflow: the chord certifies no point, and eigvals
+    # refuses the inf entries
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps({"states": ["a", "b"], "records": ["x"], "channels": [
+        _channel("a", "b", "r", 1e300, x=1.0), _channel("b", "a", "r", 1e300, x=-1.0)]}))
+    out = tmp_path / "fd.json"
+    assert run(["analyze", str(path), "--fd", "--fd-step", "50", "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    message = "numerical error: eigensolver failed on tilted generator: Array must not contain infs or NaNs"
+    assert message in captured.err and "Traceback" not in captured.err and "Warning" not in captured.err
+    assert not out.exists()
 
 
 def test_a_record_counts_against_its_own_scale(tmp_path, capsys):
@@ -911,6 +932,7 @@ def flags_dir(tmp_path_factory):
 @pytest.mark.filterwarnings("ignore")  # non-ergodicity and overflow warnings are expected here
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(drawn=flag_sets)
+@example(drawn=("twin-demo", ["--gamma", "1e308", "--eps", "-3"]))  # the shifted transition's total overflows
 def test_cli_flags_never_raise(drawn, flags_dir):
     command, flags = drawn
     model = [] if command == "twin-demo" else [str(flags_dir / "twin.json")]

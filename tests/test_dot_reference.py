@@ -240,3 +240,13 @@ def test_a_losing_rate_emptied_below_the_smallest_subnormal_is_plus_zero():
     assert math.copysign(1.0, twin.channels[1].rate) == 1.0  # 0.0, not -0.0
     assert '"rate": -0.0' not in serialize_network(twin)
     assert build_generator(twin).matrix.tobytes() == build_generator(net).matrix.tobytes()
+
+
+def test_a_transition_total_near_the_largest_double_still_rebalances():
+    # the total 1.8e308 is finite, but the fsum of a candidate pair overflows on the way to it
+    rates, eta = (2.824038044067485e307, 1.5152893304555671e308), 3.906708936313846e307
+    channels = tuple(TransitionChannel(0, 1, name, r) for name, r in zip("AB", rates))
+    net = ChannelNetwork(("s", "t"), channels + (TransitionChannel(1, 0, "A", 1.0),), ())
+    twin = shift_rate(net, 0, 1, eta)
+    assert abs(twin.channels[0].rate - (rates[0] + eta)) <= math.ulp(rates[0] + eta)  # rate + eta or one ulp off it
+    assert build_generator(twin).matrix.tobytes() == build_generator(net).matrix.tobytes()

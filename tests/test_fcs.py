@@ -245,20 +245,18 @@ def test_cumulants_fd_solves_one_stack_per_record(monkeypatch):
     assert calls == {"eigvals": 0, "build_generator": 1, "_perron_roots": 1}
 
 
-def test_a_singular_newton_system_leaves_the_other_points_alone(twin_net, monkeypatch):
-    # the zero matrix makes its bordered system singular, so the stacked solve fails;
-    # the other point must still get its own Newton root, not the eigvals fallback
+def test_the_chord_certifies_a_stack_with_a_zero_matrix(twin_net):
+    # the zero matrix is a tilt whose root the chord certifies at once, 0.0; the other
+    # point of the stack must still get its own root
     from chanjump import fcs
 
     M = tilted_generator(twin_net, {"heat_L": 0.3})
     stack = np.stack([M, np.zeros_like(M)])
     chord = fcs._perron_roots(M[None], twin_net)[0]
-    assert fcs._perron_roots(stack, twin_net) == [chord, 0.0]  # the chord certifies both
-    monkeypatch.setattr(fcs, "_CHORD_STEPS", 0)  # every point goes to Newton
-    alone = fcs._perron_roots(M[None], twin_net)[0]
-    assert fcs._perron_roots(stack, twin_net) == [alone, 0.0]
-    assert abs(alone - fcs._dominant_eigenvalues(M[None])[0]) <= 1e-15
-    assert abs(chord - alone) <= 1e-15
+    tol = 4 * fcs._EPS * fcs._scale(stack)
+    certified = fcs._chord_roots(stack, twin_net.stationary.p, twin_net.drazin, tol).tolist()
+    assert certified == fcs._perron_roots(stack, twin_net) == [chord, 0.0]  # the chord certifies both
+    assert abs(chord - fcs._dominant_eigenvalues(M[None])[0]) <= 1e-15
 
 
 def test_a_chord_root_without_a_positive_eigenvector_is_not_certified():
@@ -288,25 +286,25 @@ def test_the_drazin_inverse_is_solved_once_per_network(monkeypatch):
     assert net.drazin.tobytes() == solve(net.generator, net.stationary).tobytes()
 
 
-def test_a_failed_drazin_solve_is_cached_and_the_roots_start_with_newton(monkeypatch):
+def test_a_failed_drazin_solve_is_cached_and_the_roots_go_to_eigvals(monkeypatch):
     from chanjump import fcs, linalg
 
-    calls, newton = [], []
+    calls, eigvals = [], []
 
     def failing(*args):
         calls.append(args)
         raise NumericalError("singular bordered system: no pivot")
 
-    roots = fcs._newton_roots
+    roots = fcs._dominant_eigenvalues
     monkeypatch.setattr(linalg, "drazin_inverse", failing)
-    monkeypatch.setattr(fcs, "_newton_roots", lambda M, *args: newton.append(len(M)) or roots(M, *args))
+    monkeypatch.setattr(fcs, "_dominant_eigenvalues", lambda M: eigvals.append(len(M)) or roots(M))
     net = random_network(np.random.default_rng(6), n_records=2)
     for _ in range(2):
         with pytest.raises(NumericalError, match="singular bordered system: no pivot"):
             noise_matrix(net)
     assert len(calls) == 1
     fd = cumulants_fd(net)
-    assert newton == [2 * 2**2 + 1]  # the whole stencil, as before the chord
+    assert eigvals == [2 * 2**2 + 1]  # the whole stencil, in one eigensolve
     assert np.isfinite(fd.noise).all()
     broken = make_network(["a", "b", "c"], [(0, 1, "r", 1.0, "", {"n": 1.0}), (1, 0, "r", 1.0)], ["n"])
     for _ in range(2):
@@ -453,12 +451,10 @@ def analyze_fd(document: dict, tmp_path, name: str):
 
 
 def test_the_ring20_fd_stack_stays_on_the_chord(tmp_path, monkeypatch):
-    fallbacks = []
-    for name in ("_newton_roots", "_dominant_eigenvalues"):
-        fn = getattr(fcs, name)
-        monkeypatch.setattr(fcs, name, lambda M, *args, fn=fn, name=name: fallbacks.append((name, len(M))) or fn(M, *args))
+    fallbacks, eigvals = [], fcs._dominant_eigenvalues
+    monkeypatch.setattr(fcs, "_dominant_eigenvalues", lambda M: fallbacks.append(len(M)) or eigvals(M))
     model, first = analyze_fd(ring20_document(), tmp_path, "ring20")
-    assert not fallbacks, f"the chord left ring20 points to a fallback: {fallbacks}"
+    assert not fallbacks, f"the chord left ring20 points to eigvals: {fallbacks}"
     again = tmp_path / "fd_ring20_again.json"
     assert cli.main(["analyze", str(model), "--fd", "--json", str(again)]) == 0
     assert first.read_bytes() == again.read_bytes()

@@ -57,6 +57,7 @@ from chanjump import (
     scgf,
     serialize_network,
     simulate,
+    stationary_state,
     tilted_generator,
     tilted_null_variation,
     twin_dot_spec,
@@ -169,7 +170,7 @@ def test_a_wrong_length_vector_names_the_argument_and_both_lengths(name):
         call(build_dot(SPEC))
 
 
-@pytest.mark.parametrize("function", [pseudo_inverse, numerical_rank, kernel_basis])
+@pytest.mark.parametrize("function", [pseudo_inverse, numerical_rank, kernel_basis, stationary_state, drazin_inverse])
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_linalg_entry_points_refuse_non_finite_matrices(function, bad):
     with pytest.raises(NumericalError, match=f"^{function.__name__} requires finite entries$"):
@@ -423,6 +424,10 @@ REFUSED = {
     "shift_rate/eta past the gaining rate": (
         lambda: shift_rate(build_dot(SPEC), 0, 1, -0.4),
         "eta -0.4 out of range; must keep rates in [-0.377541, 0.182426] nonnegative",
+    ),
+    "shift_rate/transition total past the largest double": (
+        lambda: shift_rate(network_of(("a", "b"), [(0, 1, "L", 1e308), (0, 1, "R", 1e308), (1, 0, "L", 1.0)]), 0, 1, 0.5),
+        "state 'a': total escape rate overflows",
     ),
     # a level is an integer in [0, levels), on a dot with two levels: not a bool, a float, None or a string
     "make_twin/bool level": (lambda: make_twin(two_level_dot(), True, "L", "R", 0.1), "level True out of range"),

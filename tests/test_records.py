@@ -312,6 +312,16 @@ def test_a_mean_record_past_the_largest_double_is_a_numerical_error():
         mean_record(net, [1.0, 0.0], "x")
 
 
+def test_both_record_means_refuse_an_overflow_with_one_message_and_no_warning():
+    # every channel's flux is 1e10 * 0.5 and its term 1e300 times that: the products overflow
+    net = make_network(["a", "b"], [(0, 1, "r", 1e10, "", {"x": 1e300}), (1, 0, "r", 1e10, "", {"x": 1e300})], ["x"])
+    message = "^the mean of record 'x' exceeds the largest double$"
+    with pytest.raises(NumericalError, match=message):
+        mean_currents(net)
+    with pytest.raises(NumericalError, match=message):
+        mean_record(net, net.stationary, "x")
+
+
 def test_a_resolved_flux_past_the_largest_double_is_a_numerical_error():
     net = make_network(["a", "b"], [(0, 1, "r", 1e308), (0, 1, "r", 1e308), (1, 0, "r", 1.0)], [])
     with pytest.raises(NumericalError, match="a flux exceeds the largest double"):
