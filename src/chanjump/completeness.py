@@ -255,14 +255,22 @@ def first_order_record_change(net: ChannelNetwork, c, p, mu: str) -> float:
     Evaluates sum_e d_e c_e p_from(e); zero for every p exactly when the
     record is insensitive to the redistribution c.  c perturbs rates: a
     channel-flux vector f (a kernel vector or witness) is the rate change
-    f / p_from, which moves record mu by (D f)[mu].
+    f / p_from, which moves record mu by (D f)[mu].  A non-finite c or p
+    is a ValidationError, a change past the largest double a NumericalError.
     """
     (row,) = net.record_rows([mu])
     cv = checked_vector(c, net.n_channels, "perturbation", " channels")
     pv = checked_vector(p, net.n_states, "probability vector")
+    for v, what in ((cv, "perturbation"), (pv, "probability vector")):
+        if not np.isfinite(v).all():
+            raise ValidationError(f"{what} must be finite")
     arrays = net.arrays
     d = arrays.increments[row]
-    return float(np.sum(d * cv * pv[arrays.from_state]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite change is refused below
+        change = float(np.sum(d * cv * pv[arrays.from_state]))
+    if not math.isfinite(change):
+        raise NumericalError(f"the first-order change of record {mu!r} exceeds the largest double")
+    return change
 
 
 def velocity_only_kernel_dim(net: ChannelNetwork, tol: float = DEFAULT_TOL) -> int:

@@ -161,8 +161,8 @@ def _chord_roots(M: np.ndarray, p: np.ndarray, R: np.ndarray, tol: np.ndarray) -
     X[:, :n, 0] = p
     F = (M @ p)[:, :, None]  # and its residual r
     W = np.full((K, n + 1, 1), 1 / (4 * _EPS * p.max()))  # a step's size is max |dx| W
-    W[:, n, 0] = 1 / tol
-    rows, Mk, left = np.arange(K), M, K  # the stack rows still iterated; W is NaN on stopped ones
+    W[:, n, 0] = 1 / tol  # NaN on a stopped point, so it never stops twice
+    left = K
     last = before = np.nan  # the sizes of the two steps before; NaN compares false
     for step in range(_CHORD_STEPS):
         dX = G @ F
@@ -175,17 +175,13 @@ def _chord_roots(M: np.ndarray, p: np.ndarray, R: np.ndarray, tol: np.ndarray) -
             if stop.any():
                 done = np.flatnonzero(stop)
                 good = done[converged[done] & (X[done, :n, 0] > 0).all(axis=1)]
-                lam[rows[good]] = X[good, n, 0]
+                lam[good] = X[good, n, 0]
                 W[done] = np.nan
                 left -= done.size
                 if not left:
                     break
-                if 2 * left <= rows.size:
-                    keep = np.flatnonzero(W[:, n, 0] == W[:, n, 0])
-                    rows, X, W, size, last = rows[keep], X[keep], W[keep], size[keep], last[keep]
-                    Mk = M[rows]
         before, last = last, size
-        F = Mk @ X[:, :n] - X[:, n:] * X[:, :n]
+        F = M @ X[:, :n] - X[:, n:] * X[:, :n]
     return lam
 
 
@@ -198,18 +194,13 @@ def _perron_roots(M: np.ndarray, net: ChannelNetwork) -> list[float]:
     (``_chord_roots``), which converges to |dlam| <= tol = 4 eps
     max(1, max |M|) and stops each point on its own values alone, so a
     point's value does not depend on the other points of the stack.  A
-    point it does not certify, every point of a network without a Drazin
-    inverse and every point of one without a stationary state go to
-    ``_dominant_eigenvalues``.
+    point goes to ``_dominant_eigenvalues`` when the chord does not certify
+    it, or cannot start, for want of a stationary state or a Drazin inverse.
     """
-    try:
-        p = net.stationary.p
-    except NumericalError:
-        return _dominant_eigenvalues(M)
     lam = np.full(len(M), np.nan)  # NaN until certified
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite M fails to converge
-        with contextlib.suppress(ChanjumpError):  # no Drazin inverse: every point goes to eigvals
-            lam = _chord_roots(M, p, net.drazin, 4 * _EPS * _scale(M))
+        with contextlib.suppress(ChanjumpError):  # the chord cannot start: every point goes to eigvals
+            lam = _chord_roots(M, net.stationary.p, net.drazin, 4 * _EPS * _scale(M))
     rest = np.flatnonzero(np.isnan(lam))
     if rest.size:
         lam[rest] = _dominant_eigenvalues(M[rest])
@@ -231,15 +222,19 @@ def tilt_derivatives(net: ChannelNetwork, mu: str, nu: str) -> tuple[np.ndarray,
 
     Returns (L_mu, L_munu) with off-diagonal entries sum(w d_mu) and
     sum(w d_mu d_nu); diagonals are zero since escape rates are untilted.
+    An entry past the largest double is a NumericalError.
     """
     i, j = net.record_rows([mu, nu])
     a = net.arrays
     n = net.n_states
-    w_mu = a.rate * a.increments[i]
-    w_munu = w_mu * a.increments[j]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is refused below
+        w_mu = a.rate * a.increments[i]
+        w_munu = w_mu * a.increments[j]
     cells = a.to_state * n + a.from_state
-    L1, L2 = ChannelArrays.sum_by(np.vstack([w_mu, w_munu]), cells, n * n)
-    return L1.reshape(n, n), L2.reshape(n, n)
+    L = ChannelArrays.sum_by(np.vstack([w_mu, w_munu]), cells, n * n)
+    if not np.isfinite(L).all():
+        raise NumericalError(f"the tilt derivatives of records {mu!r} and {nu!r} exceed the largest double")
+    return L[0].reshape(n, n), L[1].reshape(n, n)
 
 
 def mean_currents(net: ChannelNetwork) -> dict[str, float]:
@@ -298,9 +293,9 @@ def scgf(net: ChannelNetwork, chi: Mapping[str, float]) -> float:
     Real and simple for irreducible networks; zero at chi = 0.  It is the
     Perron root of the tilted generator, found from the stationary state by
     a chord iteration on the network's cached Drazin inverse and certified
-    by a positive eigenvector.  A point the chord does not certify, or a
-    network without a stationary state, goes through a full eigensolve
-    (``np.linalg.eigvals``) instead.
+    by a positive eigenvector.  When the chord does not certify the point,
+    or cannot start (no stationary state or no Drazin inverse), a full
+    eigensolve (``np.linalg.eigvals``) finds it instead.
     """
     return _perron_roots(tilted_generator(net, chi)[None], net)[0]
 
@@ -409,11 +404,18 @@ def tilted_null_variation(
     Off-diagonal entry (n, m) gets sum over channels m -> n of c_e exp(chi .
     d_e); the diagonal gets the (untilted) escape-rate change, which vanishes
     exactly when c preserves per-transition totals, i.e. for every c in
-    ker P.
+    ker P.  A non-finite c is a ValidationError, an entry past the largest
+    double a NumericalError.
     """
     cv = checked_vector(c, net.n_channels, "perturbation", " channels")
+    if not np.isfinite(cv).all():
+        raise ValidationError("perturbation must be finite")
     a = net.arrays
     n = net.n_states
-    weights = np.concatenate([cv * _tilt_factors(_exponents(net, chi)), -cv])
+    with np.errstate(over="ignore"):  # a non-finite entry is refused below
+        weights = np.concatenate([cv * _tilt_factors(_exponents(net, chi)), -cv])
     cells = np.concatenate([a.to_state * n + a.from_state, a.from_state * (n + 1)])
-    return ChannelArrays.sum_by(weights[None, :], cells, n * n).reshape(n, n)
+    V = ChannelArrays.sum_by(weights[None, :], cells, n * n).reshape(n, n)
+    if not np.isfinite(V).all():
+        raise NumericalError("the tilted null variation exceeds the largest double")
+    return V

@@ -272,6 +272,33 @@ def test_a_chord_root_without_a_positive_eigenvector_is_not_certified():
     assert fcs._perron_roots(M, net) == fcs._dominant_eigenvalues(M)
 
 
+def test_two_closed_classes_send_every_point_to_eigvals(monkeypatch):
+    # without a stationary state the chord cannot start, so every root is eigvals' own
+    from chanjump import fcs
+
+    net = make_network(
+        ["a", "b", "c", "d"],
+        [(0, 1, "r", 1.0, "", {"x": 1.0}), (1, 0, "r", 1.0), (2, 3, "r", 1.0), (3, 2, "r", 1.0)],
+        ["x"],
+    )
+    calls = []
+    chord = fcs._chord_roots
+    monkeypatch.setattr(fcs, "_chord_roots", lambda *args: calls.append(args) or chord(*args))
+    fields = (0.3, -1.2, math.log(4.0))
+    M = np.stack([tilted_generator(net, {"x": chi}) for chi in fields])
+    alone = [fcs._dominant_eigenvalues(m[None])[0] for m in M]
+    assert np.array([scgf(net, {"x": chi}) for chi in fields]).tobytes() == np.array(alone).tobytes()
+    assert np.array(fcs._perron_roots(M, net)).tobytes() == np.array(fcs._dominant_eigenvalues(M)).tobytes()
+    assert calls == []
+
+
+def test_a_complex_dominant_eigenvalue_is_refused():
+    from chanjump import fcs
+
+    with pytest.raises(NumericalError, match=r"^dominant eigenvalue has imaginary part 1; network may be reducible$"):
+        fcs._dominant_eigenvalues(np.array([[[0.0, -1.0], [1.0, 0.0]]]))
+
+
 def test_the_drazin_inverse_is_solved_once_per_network(monkeypatch):
     from chanjump import linalg
 

@@ -14,9 +14,11 @@ filter label that is not a string, a dot with a fractional level, a
 repeated coupling, a string gamma, an entry of the wrong shape or a
 coupling key given as an array or object, a ``make_twin`` level or a
 ``SimConfig`` count that is not an integer, a ``SimConfig`` time or an
-``R_inv`` entry that is not a number, an infinite ``R_inv`` entry) and each
-input check of ``shift_rate``, and BRANCHES one case for each check or
-fallback that no other test reaches.
+``R_inv`` entry that is not a number, an infinite ``R_inv`` entry, a
+perturbation or occupation with a NaN or inf entry) and each input check of
+``shift_rate``, OVERFLOWS finite inputs whose result is past the largest
+double, and BRANCHES one case for each check or fallback that no other test
+reaches.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from chanjump import (
     serialize_network,
     simulate,
     stationary_state,
+    tilt_derivatives,
     tilted_generator,
     tilted_null_variation,
     twin_dot_spec,
@@ -429,6 +432,23 @@ REFUSED = {
         lambda: shift_rate(network_of(("a", "b"), [(0, 1, "L", 1e308), (0, 1, "R", 1e308), (1, 0, "L", 1.0)]), 0, 1, 0.5),
         "state 'a': total escape rate overflows",
     ),
+    # a perturbation or occupation with a NaN or inf entry, on the twin dot
+    "first_order_record_change/infinite perturbation": (
+        lambda: first_order_record_change(build_dot(SPEC), [math.inf, -math.inf, 0, 0], [0.5, 0.5], "heat_L"),
+        "perturbation must be finite",
+    ),
+    "first_order_record_change/NaN perturbation": (
+        lambda: first_order_record_change(build_dot(SPEC), [math.nan, 0, 0, 0], [0.5, 0.5], "heat_L"),
+        "perturbation must be finite",
+    ),
+    "first_order_record_change/NaN occupation": (
+        lambda: first_order_record_change(build_dot(SPEC), np.zeros(4), [math.nan, 0.5], "heat_L"),
+        "probability vector must be finite",
+    ),
+    "tilted_null_variation/NaN perturbation": (
+        lambda: tilted_null_variation(build_dot(SPEC), [math.nan, 0, 0, 0], {"heat_L": 1.0}),
+        "perturbation must be finite",
+    ),
     # a level is an integer in [0, levels), on a dot with two levels: not a bool, a float, None or a string
     "make_twin/bool level": (lambda: make_twin(two_level_dot(), True, "L", "R", 0.1), "level True out of range"),
     "make_twin/float level": (lambda: make_twin(two_level_dot(), 1.0, "L", "R", 0.1), "level 1.0 out of range"),
@@ -500,6 +520,34 @@ SPLIT = network_of(
     [(0, 1, "r", 1.0, "", {"x": 1.0}), (1, 0, "r", 1.0), (2, 3, "r", 1.0), (3, 2, "r", 1.0)],
     ("x",),
 )
+
+
+# finite inputs whose result is past the largest double; pytest makes a leaked RuntimeWarning an error
+OVERFLOWS = {
+    "first_order_record_change": (
+        lambda: first_order_record_change(build_dot(SPEC), [1e308, 0, 0, 0], [4.0, 1.0], "heat_L"),
+        "the first-order change of record 'heat_L' exceeds the largest double",
+    ),
+    "tilted_null_variation": (
+        lambda: tilted_null_variation(build_dot(SPEC), [1e308, 1e308, 0, 0], {"heat_L": 1.0}),
+        "the tilted null variation exceeds the largest double",
+    ),
+    "tilt_derivatives": (
+        lambda: tilt_derivatives(
+            network_of(("a", "b"), [(0, 1, "r", 1e200, "", {"x": 1e200}), (1, 0, "r", 1.0, "", {"x": -1e200})], ("x",)),
+            "x",
+            "x",
+        ),
+        "the tilt derivatives of records 'x' and 'x' exceed the largest double",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWS)
+def test_a_result_past_the_largest_double_is_a_numerical_error(name):
+    call, message = OVERFLOWS[name]
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def stats(elapsed: float) -> TrajectoryStats:

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from chanjump import (
     NonErgodicError,
+    NumericalError,
     build_dot,
     build_generator,
     build_projection,
@@ -156,3 +157,10 @@ def test_rank_plus_kernel_dim_is_column_count():
         kb = kernel_basis(M)
         assert kb.dim + numerical_rank(M) == n
         assert kb.dim == n - r
+
+
+def test_a_singular_bordered_system_is_a_numerical_error():
+    # two closed pairs: p = (0.5, 0.5, 0, 0) is stationary, but the bordered matrix is singular
+    L = np.array([[-1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, -2.0, 2.0], [0.0, 0.0, 2.0, -2.0]])
+    with pytest.raises(NumericalError, match=r"^singular bordered system: Singular matrix$"):
+        drazin_inverse(L, np.array([0.5, 0.5, 0.0, 0.0]))

@@ -374,3 +374,11 @@ def test_a_non_numeric_rate_or_increment_is_a_validation_error(rate, increment, 
     channels = (TransitionChannel(0, 1, "r", rate, increments={"x": increment}), TransitionChannel(1, 0, "r", 1.0))
     with pytest.raises(ValidationError, match=f"^{message}$"):
         ChannelNetwork(("a", "b"), channels, ("x",))
+
+
+def test_state_index_and_the_generator_size():
+    net = build_dot(twin_dot_spec())
+    assert net.state_index("level_0") == 1
+    with pytest.raises(ValidationError, match=r"^unknown state name 'x'$"):
+        net.state_index("x")
+    assert build_generator(net).n == net.generator.n == 2
