@@ -230,6 +230,11 @@ def cmd_bounds(args) -> dict:
     return report
 
 
+def _rate_difference(b: float, a: float) -> float | None:
+    """b - a of two entropy rates in [0, inf]; None (JSON null) where both are infinite."""
+    return None if a == b == math.inf else b - a
+
+
 def cmd_twin_demo(args) -> dict:
     spec = dotlab.twin_dot_spec(
         eps=args.eps,
@@ -252,6 +257,14 @@ def cmd_twin_demo(args) -> dict:
     k_tot = net.records.index("heat_total")
     ent_a = rec.entropy_production(net, net.stationary.p)
     ent_b = rec.entropy_production(twin, twin.stationary.p)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed norm is rescaled, then refused
+        diff = S_b - S_a
+        norm = float(np.linalg.norm(diff))
+        if not math.isfinite(norm):
+            scale = np.abs(diff).max()
+            norm = float(scale * np.linalg.norm(diff / scale))
+    if not math.isfinite(norm):
+        raise NumericalError("the heat noise difference norm exceeds the largest double")
 
     report = rpt.new_report("twin-demo", {"rank_tol": DEFAULT_TOL})
     report["model"] = _model_section(net)
@@ -265,10 +278,10 @@ def cmd_twin_demo(args) -> dict:
         "heat_records": heat_records,
         "heat_noise_base": rpt.matrix(S_a),
         "heat_noise_twin": rpt.matrix(S_b),
-        "heat_noise_difference_norm": float(np.linalg.norm(S_b - S_a)),
+        "heat_noise_difference_norm": norm,
         "heat_total_noise_difference": float(Dq_b[k_tot, k_tot] - Dq_a[k_tot, k_tot]),
-        "entropy_resolved_difference": ent_b.resolved - ent_a.resolved,
-        "entropy_coarse_difference": ent_b.coarse - ent_a.coarse,
+        "entropy_resolved_difference": _rate_difference(ent_b.resolved, ent_a.resolved),
+        "entropy_coarse_difference": _rate_difference(ent_b.coarse, ent_a.coarse),
         "method": "analytic",
     }
     if not bitwise_equal:

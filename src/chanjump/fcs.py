@@ -243,7 +243,7 @@ def mean_currents(net: ChannelNetwork) -> dict[str, float]:
     A mean past the largest double is a NumericalError, as in ``records.mean_record``.
     """
     a = net.arrays
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         means = a.increments @ (a.rate * net.stationary.p[a.from_state])
     overflow = np.flatnonzero(~np.isfinite(means))
     if overflow.size:
@@ -274,9 +274,9 @@ def noise_matrix(net: ChannelNetwork) -> np.ndarray:
         DWD = DW @ D.T
         S = DWD - C - C.T
         S = 0.5 * (S + S.T)
+        terms = np.diagonal(DWD) + 2 * np.abs(np.diagonal(C))
     if not np.isfinite(S).all():
         raise NumericalError("noise matrix exceeds the largest double; rescale the record increments")
-    terms = np.diagonal(DWD) + 2 * np.abs(np.diagonal(C))
     negative = np.flatnonzero(np.diagonal(S) < -_VARIANCE_SLACK * _EPS * terms)
     if negative.size:
         k = negative[0]
@@ -322,19 +322,20 @@ def _stencil_points(q: int) -> np.ndarray:
     return np.array(rows, dtype=np.intp)
 
 
-def _stencil_exponents(hD: np.ndarray, points: np.ndarray, screen: bool = True) -> np.ndarray:
+def _stencil_exponents(hD: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Exponents of the given stencil points, one row per point.
 
     A product by +-1 is exact, one product is what fsum of one term returns,
     and IEEE addition of two products is correctly rounded, as fsum of two
     terms is; adding the zero row changes only the sign of a zero exponent.
-    ``screen`` looks for sums that overflow cell by cell; a caller that
-    knows 2 max |hD| is finite passes False, since then none can.
+    Where 2 max |hD| is finite no two entries sum past the largest double
+    (doubling is exact); otherwise the sums are screened cell by cell.
     """
     first = points[:, 1, None] * hD[points[:, 0]]
     second = points[:, 3, None] * hD[points[:, 2]]
     with np.errstate(over="ignore", invalid="ignore"):
         rows = first + second
+        screen = not np.isfinite(2 * np.abs(hD).max(initial=0.0))  # NaN or inf screens every cell
     # fsum raises where finite terms sum past the largest double (inf - inf fails the eigensolve)
     if screen and np.any(np.isinf(rows) & np.isfinite(first) & np.isfinite(second)):
         raise NumericalError("weighted record increments exceed the largest double")
@@ -366,15 +367,13 @@ def cumulants_fd(net: ChannelNetwork, h: float = 1e-4) -> CumulantReport:
     a = net.arrays
     with np.errstate(over="ignore"):
         hD = np.vstack([h * a.increments, np.zeros(a.increments.shape[1])])
-        # doubling is exact, so no two entries sum past 2 max |hD|; NaN or inf screens every cell
-        screen = not np.isfinite(2 * np.abs(hD).max(initial=0.0))
     points = _stencil_points(q)
     chunk = max(1, _STACK_CELLS // (net.n_states**2 + net.n_channels))
     lam = []
     for start in range(0, len(points), chunk):
         rows = points[start : start + chunk]
         try:
-            lam += _perron_roots(_tilted_stack(net, _stencil_exponents(hD, rows, screen)), net)
+            lam += _perron_roots(_tilted_stack(net, _stencil_exponents(hD, rows)), net)
         except NumericalError:
             for i, si, j, sj in rows.tolist():
                 scgf(net, {recs[k]: s * h for k, s in ((i, si), (j, sj)) if k < q})

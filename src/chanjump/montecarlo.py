@@ -176,12 +176,16 @@ class _ChannelTable:
         b = c / esc
         while (low := b * esc < c).any():
             b[low] = np.nextafter(b[low], np.inf)
-        while True:
-            below = np.nextafter(b, -np.inf)
-            high = (below * esc >= c) & (b > 0)
-            if not high.any():
-                break
-            b[high] = below[high]
+        # lower b to the smallest such double by its bit pattern, which orders nonnegative doubles,
+        # with a step that doubles while fl(b * esc) >= c holds and halves where it fails: where
+        # the product is subnormal, steps of one ulp could take up to 2^52 of them
+        bits = b.view(np.int64)
+        step = np.ones_like(bits)
+        while step.any():
+            lower = np.maximum(bits - step, 0)
+            holds = (lower < bits) & (lower.view(float) * esc >= c)
+            bits[holds] = lower[holds]
+            step = np.where(holds, 2 * step, step // 2)
         # b is grouped by state, nondecreasing within a state
         self.bounds = np.unique(b)
         rows = max(max(_TABLE_CELLS, _CELLS_PER_CHANNEL * n_ch) // n, 2)
@@ -442,14 +446,13 @@ def _jump_rate(net: ChannelNetwork, escape: np.ndarray) -> float:
         return float(escape.max())
 
 
-def _check_expected_jumps(net: ChannelNetwork, cfg: SimConfig, escape: np.ndarray) -> float:
+def _check_expected_jumps(cfg: SimConfig, rate: float) -> float:
     """The run's expected jump count; a ValidationError past _MAX_EXPECTED_JUMPS.
 
     Per trajectory the count is (burn_in + t_max) * rate, or max_jumps +
     burn_in * rate, with ``_jump_rate``'s rate.  The bound also counts
     _TRAJECTORY_JUMPS per trajectory, the cost of one that makes no jump.
     """
-    rate = _jump_rate(net, escape)
     if cfg.t_max is not None:
         per_trajectory = (cfg.burn_in + cfg.t_max) * rate
     else:
@@ -509,13 +512,13 @@ def simulate(net: ChannelNetwork, cfg: SimConfig, dump: IO[str] | None = None) -
     ``dump`` got every trajectory's jumps.
     """
     table = _ChannelTable(net)
-    table.compose(_check_expected_jumps(net, cfg, table.escape))
+    rate = _jump_rate(net, table.escape)  # bounds the run's work and sizes each walk's first chunk
+    table.compose(_check_expected_jumps(cfg, rate))
     live = net.arrays.rate > 0
     src, dst = net.arrays.from_state[live], net.arrays.to_state[live]
     if -1 in graph_walk(net.n_states, src, dst, [0]) + graph_walk(net.n_states, dst, src, [0]):
         warnings.warn("simulating a non-ergodic network", stacklevel=2)
     fixed_initial, init_cum = _initial_sampler(net, cfg)
-    rate = _jump_rate(net, table.escape)  # sizes each walk's first chunk
     time_mode = cfg.t_max is not None
     horizon = cfg.t_max if time_mode else math.inf
     budget = math.inf if time_mode else cfg.max_jumps

@@ -291,13 +291,8 @@ class ChannelArrays:
         return M if values.ndim == 2 else M[0]
 
     def _fsum_totals(self, block: np.ndarray) -> list[list[float]]:
-        """math.fsum of every transition's terms in each row of the K x E block (grouped order)."""
-        rows = block.tolist()
-        slices = self._slices
-        try:
-            return [list(map(math.fsum, map(row.__getitem__, slices))) for row in rows]
-        except OverflowError:  # finite terms whose exact sum exceeds the largest double
-            return [[_fsum(row[s]) for s in slices] for row in rows]
+        """``_fsum`` of every transition's terms in each row of the K x E block (grouped order)."""
+        return [list(map(_fsum, map(row.__getitem__, self._slices))) for row in block.tolist()]
 
     def _exact_totals(self, block: np.ndarray) -> np.ndarray:
         """``_fsum_totals`` of the K x E block as one integer reduction, bit for bit.

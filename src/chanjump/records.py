@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .network import ChannelArrays, ChannelNetwork, checked_probability, checked_vector, finite_fsum
 
 __all__ = [
@@ -163,9 +164,10 @@ def record_interval(net: ChannelNetwork, u, a: dict[str, float]) -> RecordInterv
     # min and max return the first extreme, so ties go to the lowest channel index
     emin = [min(order[lo:hi], key=proj.__getitem__) for lo, hi in net.arrays.spans]
     emax = [max(order[lo:hi], key=proj.__getitem__) for lo, hi in net.arrays.spans]
+    ul = uv.tolist()  # float products overflow to inf without a warning; finite_fsum refuses them
     return RecordInterval(
-        lo=finite_fsum((uv[k] * proj[e] for k, e in enumerate(emin)), "a record-interval endpoint"),
-        hi=finite_fsum((uv[k] * proj[e] for k, e in enumerate(emax)), "a record-interval endpoint"),
+        lo=finite_fsum((ul[k] * proj[e] for k, e in enumerate(emin)), "a record-interval endpoint"),
+        hi=finite_fsum((ul[k] * proj[e] for k, e in enumerate(emax)), "a record-interval endpoint"),
         direction=dict(a),
         tight_channels=tuple(zip(transitions, emin, emax)),
     )
@@ -176,17 +178,23 @@ def record_hull_summary(net: ChannelNetwork, u, selected) -> tuple[HullSummand, 
 
     The compatible-record set is the Minkowski sum of these summands; they
     are reported as deduplicated generator points, not as an enumerated
-    polytope.
+    polytope.  A point past the largest double is a NumericalError that
+    names its transition.
     """
     uv, transitions = _check_totals(net, u)
     a = net.arrays
     columns = a.increments[net.record_rows(selected)][:, a.grouped].T.tolist()
-    return tuple(
+    summands = tuple(
         HullSummand(transition=t, weight=w, points=tuple(
             dict.fromkeys(tuple(map(w.__mul__, col)) for col in columns[lo:hi])
         ))
         for t, w, (lo, hi) in zip(transitions, uv.tolist(), a.spans)
     )
+    for h in summands:
+        if any(map(math.isinf, chain.from_iterable(h.points))):
+            raise NumericalError(f"a hull point of transition {h.transition[0]}->{h.transition[1]} "
+                                 "exceeds the largest double")
+    return summands
 
 
 def stationary_transition_totals(net: ChannelNetwork) -> np.ndarray:

@@ -9,9 +9,11 @@ round-tripped library calls.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from chanjump import ChannelNetwork, TransitionChannel, build_dot, twin_dot_spec
 
@@ -54,6 +56,29 @@ def read_report(path):
     report = json.loads(text)
     assert text == json.dumps(report, sort_keys=True, indent=2), path
     return report
+
+
+# magnitudes log-uniform over the whole double range, 1e-308 to 1e308, and the same with
+# either sign as argv text
+wide_magnitudes = st.floats(-308.0, 308.0).map(lambda e: 10.0**e)
+wide_numbers = st.tuples(st.sampled_from([1.0, -1.0]), wide_magnitudes).map(lambda t: repr(t[0] * t[1]))
+
+# the only non-finite numbers an exit-0 report may hold: NaN noise standard errors
+# (too few trajectories for two batches) and infinite entropy rates and their differences
+_NAN_KEYS = {"noise_standard_errors"}
+_INF_KEYS = {"resolved", "coarse", "entropy_resolved_difference", "entropy_coarse_difference"}
+
+
+def stray_non_finite(report, key=None) -> list:
+    """(key, value) of every NaN or +-inf in the parsed report outside the keys above."""
+    if isinstance(report, dict):
+        return [bad for k, v in report.items() for bad in stray_non_finite(v, k)]
+    if isinstance(report, list):
+        return [bad for v in report for bad in stray_non_finite(v, key)]
+    if isinstance(report, float) and not math.isfinite(report):
+        if key not in (_NAN_KEYS if math.isnan(report) else _INF_KEYS):
+            return [(key, report)]
+    return []
 
 
 def make_network(states, channel_tuples, records):

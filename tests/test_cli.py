@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from chanjump import NumericalError, ValidationError, build_dot, cumulants_fd, serialize_network, twin_dot_spec
 from chanjump.cli import main
 
-from conftest import J_HEAT_TOTAL, TWIN_HEAT_DIFF, read_report
+from conftest import J_HEAT_TOTAL, TWIN_HEAT_DIFF, read_report, stray_non_finite, wide_magnitudes, wide_numbers
 
 
 @pytest.fixture
@@ -872,13 +872,16 @@ _NUMBERS = ["nan", "inf", "-inf", "-1", "-0.5", "0", "abc", "1e400", ""]
 
 def _flag(name, valid, required=False):
     """A flag with one of the bad values above or, three times as often, a short valid one; or left out."""
-    value = st.one_of(st.sampled_from(_NUMBERS), valid, valid, valid).map(lambda v: [name, str(v)])
+    # one "--flag=value" word, which argparse reads even where the value looks like an option, such as -1e+153
+    value = st.one_of(st.sampled_from(_NUMBERS), valid, valid, valid).map(lambda v: [f"{name}={v}"])
     return value if required else st.one_of(st.just([]), value)
 
 
 _fraction = st.floats(0.01, 0.99).map(repr)
 _positive = st.floats(0.01, 3.0).map(repr)
 _real = st.floats(-3.0, 3.0).map(repr)
+_wide_positive = st.one_of(_positive, wide_magnitudes.map(repr))
+_wide_real = st.one_of(_real, wide_numbers)
 
 
 def _reservoir(name):
@@ -897,11 +900,11 @@ _FLAGS = {
     ],
     "bounds": [
         st.sampled_from([[], ["--direction", "heat_total=1"]]),
-        st.sampled_from(_NUMBERS + ["1", "0.5", "-2"]).map(lambda w: ["--direction", f"heat_L={w}"]),
+        st.one_of(st.sampled_from(_NUMBERS + ["1", "0.5", "-2"]), _wide_real).map(lambda w: ["--direction", f"heat_L={w}"]),
     ],
     "twin-demo": [
-        _flag("--eta", st.floats(-0.3, 0.3).map(repr)), _flag("--eps", _real), _flag("--mu-l", _real),
-        _flag("--mu-r", _real), _flag("--temp", _positive), _flag("--gamma", _positive),
+        _flag("--eta", st.floats(-0.3, 0.3).map(repr)), _flag("--eps", _wide_real), _flag("--mu-l", _wide_real),
+        _flag("--mu-r", _wide_real), _flag("--temp", _wide_positive), _flag("--gamma", _wide_positive),
         _reservoir("--gain"), _reservoir("--lose"),
     ],
     "simulate": [
@@ -929,10 +932,18 @@ def flags_dir(tmp_path_factory):
     return directory
 
 
-@pytest.mark.filterwarnings("ignore")  # non-ergodicity and overflow warnings are expected here
+@pytest.mark.filterwarnings("ignore::UserWarning")  # simulate warns of a non-ergodic network; nothing else may warn
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(drawn=flag_sets)
 @example(drawn=("twin-demo", ["--gamma", "1e308", "--eps", "-3"]))  # the shifted transition's total overflows
+# f_L underflows to 0, so both resolved entropy rates are infinite: their difference is null
+@example(drawn=("twin-demo", ["--mu-l", "-1000", "--mu-r", "1", "--eta", "0"]))
+# every noise entry is finite, but the plain norm of their difference overflows
+@example(drawn=("twin-demo", ["--eps=1e153", "--mu-l=1e153", "--mu-r=-1e153", "--temp=1e153", "--eta=-0.2"]))
+# the noise matrix and its variance terms overflow
+@example(drawn=("twin-demo", ["--eps=1e154", "--mu-l=1e154", "--mu-r=-1e154", "--temp=1e154", "--eta=-0.2"]))
+# the mean currents hold inf - inf
+@example(drawn=("twin-demo", ["--eps=1e300", "--mu-l=-1e300", "--mu-r=1e300", "--temp=1e300", "--gamma=1e10"]))
 def test_cli_flags_never_raise(drawn, flags_dir):
     command, flags = drawn
     model = [] if command == "twin-demo" else [str(flags_dir / "twin.json")]
@@ -943,6 +954,8 @@ def test_cli_flags_never_raise(drawn, flags_dir):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert code == 0 or "error:" in err.getvalue()
+    if code == 0:
+        assert stray_non_finite(read_report(flags_dir / "report.json")) == []
 
 
 @pytest.mark.parametrize("flag", ["--json", "--dump"])

@@ -300,7 +300,7 @@ def test_each_trajectory_counts_against_the_work_bound():
     table = _ChannelTable(net)
     for n, t_max in [(50, 1000.0), (20, 20.0), (10_000, 1000.0), (10**6, 1e-9)]:
         cfg = SimConfig(n_trajectories=n, seed=0, t_max=t_max)
-        expected = _check_expected_jumps(net, cfg, table.escape)
+        expected = _check_expected_jumps(cfg, _jump_rate(net, table.escape))
         assert expected == pytest.approx(n * t_max * float(net.stationary.p @ table.escape))
 
 
@@ -375,7 +375,7 @@ def _stats_bits(st):
 
 def _span(net, cfg):
     table = _ChannelTable(net)
-    table.compose(_check_expected_jumps(net, cfg, table.escape))
+    table.compose(_check_expected_jumps(cfg, _jump_rate(net, table.escape)))
     return table.span
 
 

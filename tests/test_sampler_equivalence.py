@@ -307,7 +307,7 @@ def test_table_size_is_capped():
 
 
 @pytest.mark.parametrize("cells", [1 << 16, 16])
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(13))
 def test_channel_table_matches_bisect_at_every_breakpoint(seed, cells, monkeypatch):
     monkeypatch.setattr(montecarlo, "_TABLE_CELLS", cells)
     monkeypatch.setattr(montecarlo, "_CELLS_PER_CHANNEL", 0)
@@ -318,6 +318,15 @@ def test_channel_table_matches_bisect_at_every_breakpoint(seed, cells, monkeypat
             ["a", "b", "c"],
             [(0, 1, "r", 1e-300), (0, 2, "r", 1e300), (0, 1, "q", 1e-300), (0, 2, "q", 2.5),
              (1, 0, "r", 1e300), (1, 2, "r", 1e-300), (2, 0, "r", 1.0)],
+            [],
+        )
+    elif seed == 12:
+        # fl(b esc) is subnormal for esc = 1e-300, so one ulp of b barely moves it: from c / esc
+        # down to the smallest breakpoint is about 2^52 ulps for c = 5e-324
+        net = make_network(
+            ["a", "b"],
+            [(0, 1, "r", 5e-324), (0, 1, "q", 1e-300), (0, 1, "p", 5e-324),
+             (1, 0, "r", 1e-300), (1, 0, "q", 3e-310), (1, 0, "p", 1.0)],
             [],
         )
     else:
