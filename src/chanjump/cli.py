@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -331,6 +332,11 @@ def cmd_simulate(args) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a word like -1e-3 is a value, not an option: argparse's own pattern misses exponents
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits 2 on usage errors; bad flags are input validation here
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")

@@ -15,6 +15,10 @@ stationary state with two mat-vecs a step; a point it does not certify
 goes through a full eigensolve (``np.linalg.eigvals``).  The whole stencil is
 tilted as one stack, in chunks of bounded size, and each point is bitwise
 what ``scgf`` returns for it, since one path assembles and solves both.
+That path adds each off-diagonal cell's terms in channel order: the roots
+are certified only to 4 eps max(1, max |M|), which a rounding per term does
+not move.  ``tilted_generator``, the matrix users inspect, sums each cell
+exactly (math.fsum), so chi = 0 returns the state generator bit for bit.
 
 Sign convention: a counting field chi on record mu weights a channel by
 exp(chi * d) where d is the channel's increment for mu.  For the dot
@@ -104,10 +108,15 @@ def _exponents(net: ChannelNetwork, chi: Mapping[str, float]) -> np.ndarray:
 
 
 def _tilted_stack(net: ChannelNetwork, exponents: np.ndarray) -> np.ndarray:
-    """Tilted generators for K x E exponents: K x n x n, with the untilted diagonal."""
+    """Tilted generators for K x E exponents: K x n x n, with the untilted diagonal.
+
+    Each off-diagonal cell adds its channels' rate * exp(chi . d) from zero,
+    in channel order, so a matrix does not depend on the other rows.
+    """
     a, n = net.arrays, net.n_states
     with np.errstate(over="ignore"):  # an inf total fails the eigensolve
-        M = a.transition_totals(a.rate * _tilt_factors(exponents), n)
+        M = ChannelArrays.sum_by(a.rate * _tilt_factors(exponents), a.to_state * n + a.from_state, n * n)
+    M = M.reshape(-1, n, n)
     M[:, range(n), range(n)] = net.generator.matrix.diagonal()
     return M
 
@@ -210,11 +219,15 @@ def _perron_roots(M: np.ndarray, net: ChannelNetwork) -> list[float]:
 def tilted_generator(net: ChannelNetwork, chi: Mapping[str, float]) -> np.ndarray:
     """Generator with counting-field weights on the off-diagonal entries.
 
-    Off-diagonal (n, m) is the exact sum of rate * exp(chi . d) over channels
-    m -> n; the diagonal keeps the untilted escape rates, so chi = 0 returns
-    exactly the state generator.
+    Off-diagonal (n, m) is the exact sum (math.fsum) of rate * exp(chi . d)
+    over channels m -> n; the diagonal keeps the untilted escape rates, so
+    chi = 0 returns exactly the state generator.
     """
-    return _tilted_stack(net, _exponents(net, chi)[None])[0]
+    a, n = net.arrays, net.n_states
+    with np.errstate(over="ignore"):  # a total past the largest double reads inf
+        M = a.transition_totals(a.rate * _tilt_factors(_exponents(net, chi)), n)
+    M[range(n), range(n)] = net.generator.matrix.diagonal()
+    return M
 
 
 def tilt_derivatives(net: ChannelNetwork, mu: str, nu: str) -> tuple[np.ndarray, np.ndarray]:
@@ -295,9 +308,12 @@ def scgf(net: ChannelNetwork, chi: Mapping[str, float]) -> float:
     a chord iteration on the network's cached Drazin inverse and certified
     by a positive eigenvector.  When the chord does not certify the point,
     or cannot start (no stationary state or no Drazin inverse), a full
-    eigensolve (``np.linalg.eigvals``) finds it instead.
+    eigensolve (``np.linalg.eigvals``) finds it instead.  The matrix it
+    solves adds each off-diagonal cell's terms in channel order, as the
+    stack of ``cumulants_fd`` does, not exactly as ``tilted_generator``
+    does; the root moves by rounding only.
     """
-    return _perron_roots(tilted_generator(net, chi)[None], net)[0]
+    return _perron_roots(_tilted_stack(net, _exponents(net, chi)[None]), net)[0]
 
 
 def analytic_cumulants(net: ChannelNetwork) -> CumulantReport:

@@ -207,7 +207,7 @@ class ChannelArrays:
         values, map after map, as floats; the q x E increment matrix is filled
         by one scatter.
         """
-        transition, _ = _numbered(zip(frm, to))
+        transition, pair_keys = _numbered(zip(frm, to))
         increments = np.zeros((len(records), len(frm)))
         rows = map({rec: i for i, rec in enumerate(records)}.__getitem__, chain.from_iterable(incs))
         columns = np.repeat(np.arange(len(frm)), list(map(len, incs)))
@@ -217,10 +217,7 @@ class ChannelArrays:
         lo, hi = np.minimum(frm, to).tolist(), np.maximum(frm, to).tolist()
         conjugate, keys = _numbered(zip(reservoirs, filters, lo, hi))
         grouped = np.argsort(transition, kind="stable")
-        ends = np.cumsum(counts)
-        first = grouped[ends - counts]  # the first channel of every transition
-        pairs = np.empty((len(first), 2), dtype=np.intp)
-        pairs[:, 0], pairs[:, 1] = frm[first], to[first]
+        pairs = np.array(pair_keys, dtype=np.intp)
         arrays = (
             frm,
             to,
@@ -235,7 +232,7 @@ class ChannelArrays:
         for arr in arrays:
             arr.flags.writeable = False
         transitions = tuple(zip(*pairs.T.tolist()))  # Python ints, whatever the index type
-        ends = ends.tolist()
+        ends = np.cumsum(counts).tolist()
         return cls(*arrays, transitions=transitions, spans=tuple(zip([0] + ends[:-1], ends)), conjugate_keys=keys)
 
     @staticmethod
@@ -258,89 +255,16 @@ class ChannelArrays:
         ends = np.cumsum(np.bincount(slot, minlength=2 * len(self.conjugate_keys))).tolist()
         return np.argsort(slot, kind="stable"), list(zip([0] + ends[1:-1:2], ends[::2], ends[1::2]))
 
-    @cached_property
-    def _slices(self) -> list[slice]:
-        return [slice(a, b) for a, b in self.spans]
-
-    @cached_property
-    def _reduction(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-        """What ``_exact_totals`` reads: each transition's first and last grouped
-        position, the first position of every grouped position's transition,
-        and the exponent window (binades allowed below the first term's, and
-        in all)."""
-        first, ends = np.array(self.spans, dtype=np.intp).T
-        width = 9 - (int(self.counts.max()) - 1).bit_length()
-        return first, ends - 1, np.repeat(first, self.counts), width // 2, width
-
     def transition_totals(self, values: np.ndarray, n_states: int) -> np.ndarray:
-        """Per-transition math.fsum totals of values at (to, from).
+        """Per-transition math.fsum totals of the E values at (to, from): n x n.
 
-        ``values`` is one row of E values (an n x n result) or a K x E block
-        (K x n x n).  fsum rounds once, so a total does not depend on channel
-        order.  Values are rates: a total beyond the largest double reads inf.
-        A block of at least _REDUCE_CELLS totals is summed by ``_exact_totals``,
-        which is fsum bit for bit; a smaller one by the fsum loop.
+        fsum rounds once, so a total does not depend on channel order.  Values
+        are rates: a total beyond the largest double reads inf.
         """
-        block = np.atleast_2d(values)[:, self.grouped]
-        if block.shape[0] * len(self.counts) >= _REDUCE_CELLS:
-            totals = self._exact_totals(block)
-        else:
-            totals = self._fsum_totals(block)
-        M = np.zeros((len(block), n_states, n_states))
-        M[:, self.pairs[:, 1], self.pairs[:, 0]] = totals
-        return M if values.ndim == 2 else M[0]
-
-    def _fsum_totals(self, block: np.ndarray) -> list[list[float]]:
-        """``_fsum`` of every transition's terms in each row of the K x E block (grouped order)."""
-        return [list(map(_fsum, map(row.__getitem__, self._slices))) for row in block.tolist()]
-
-    def _exact_totals(self, block: np.ndarray) -> np.ndarray:
-        """``_fsum_totals`` of the K x E block as one integer reduction, bit for bit.
-
-        A term is m 2^e with m its frexp mantissa, so m 2^53 is an integer.
-        Relative to its transition's first term, of exponent e1, a term with
-        s = e - e1 + below in [0, width] becomes the integer m 2^(53 + s),
-        less than 2^(53 + width) in size, and a transition's integers add up
-        exactly in int64, since width + bit_length(largest group - 1) = 9.
-        The exact sum, converted to a double once (round-half-even) and
-        scaled by 2^(e1 - 53 - below), is fsum's correctly rounded sum
-        whenever it is a normal double and the terms leave fsum no
-        intermediate overflow, which e1 <= 1014 + below ensures: their sizes
-        then add up to less than 2^1023.  Every other total (a nonzero term
-        outside the window, an inf or NaN term, a zero or subnormal sum,
-        terms near the largest double) is summed by math.fsum; a transition
-        of more than 512 channels has no window, so all its totals are.
-        """
-        first, last, start_of, below, width = self._reduction
-        finite = np.isfinite(block)
-        all_finite = finite.all()
-        m, e = np.frexp(block if all_finite else np.where(finite, block, 0.0))
-        shift = e - e[:, start_of]
-        shift += below
-        outside = (shift < 0) | (shift > width)
-        if not all_finite:
-            outside |= ~finite
-        # a term below the window makes a fraction, one above would overflow: both totals go to fsum
-        np.minimum(shift, width, out=shift)
-        shift += 53
-        # int64 integers whose sum fits in int64 add up exactly in wrapping (uint64) arithmetic
-        running = np.cumsum(np.ldexp(m, shift).astype(np.int64).view(np.uint64), axis=1)
-        sums = running[:, last]
-        sums[:, 1:] -= running[:, last[:-1]]
-        e_first = e[:, first]
-        fallback = e_first > 1014 + below
-        np.minimum(e_first, 1014 + below, out=e_first)  # so that no scaled sum passes 2^1023
-        totals = np.ldexp(sums.view(np.int64).astype(float), e_first - (53 + below))
-        fallback |= np.abs(totals) < _TINY
-        if outside.any():
-            rows, columns = np.nonzero(outside)
-            keep = block[rows, columns] != 0  # a zero term adds nothing wherever it sits
-            fallback[rows[keep], self.transition[self.grouped[columns[keep]]]] = True
-        if fallback.any():
-            slices = self._slices
-            for k, t in zip(*np.nonzero(fallback)):
-                totals[k, t] = _fsum(block[k, slices[t]].tolist())
-        return totals
+        row = values[self.grouped].tolist()
+        M = np.zeros((n_states, n_states))
+        M[self.pairs[:, 1], self.pairs[:, 0]] = [_fsum(row[lo:hi]) for lo, hi in self.spans]
+        return M
 
     def weighted(self, rows: list[int], weights: Mapping[str, float]) -> list[float]:
         """Per channel, the correctly rounded sum of weights . increments[rows]; a finite weight per record name."""
@@ -353,17 +277,6 @@ class ChannelArrays:
             return [math.fsum(map(operator.mul, values, col)) for col in columns]
         except (OverflowError, ValueError):  # finite terms past the largest double, or inf - inf
             raise NumericalError("weighted record increments exceed the largest double") from None
-
-
-_TINY = float(np.finfo(float).tiny)  # the smallest normal double
-# Blocks of fewer totals (K rows x E0 transitions) than this are summed by the fsum
-# loop, larger ones by the integer reduction.  Measured on seeded ring-plus-chord
-# networks (N = 6 to 80, 1 to 4 channels per transition, near-equal terms as in the
-# finite-difference stack), best of 7 x 200 calls of each path on one block: the two
-# cost the same, 40 to 70 us, between about 120 and 180 totals; below 100 the loop is
-# faster (by up to 1.7x), above 250 the reduction (by 1.1 to 2x at 250 to 270 totals,
-# 3 to 7x at 1264).
-_REDUCE_CELLS = 160
 
 
 def _fsum(values) -> float:

@@ -130,9 +130,8 @@ def entropy_production(net: ChannelNetwork, p) -> EntropyReport:
     resolved, inf_res = _sigma(_conjugate_fluxes(a, pv))
     # each state pair once, in first-appearance order; a pair with positive rate one way
     # and none back has a channel group without a partner, refused above
-    lo, hi = np.sort(a.pairs, axis=1).T
-    first = np.sort(np.unique(lo * net.n_states + hi, return_index=True)[1])
-    lo, hi, W = lo[first], hi[first], net.generator.matrix
+    lo, hi = np.array(list(dict.fromkeys(key[2:] for key in a.conjugate_keys)), dtype=np.intp).T
+    W = net.generator.matrix
     with np.errstate(over="ignore"):  # finite_fsum refuses a flux that overflows
         fluxes = zip(zip(lo.tolist(), hi.tolist()), (W[hi, lo] * pv[lo]).tolist(), (W[lo, hi] * pv[hi]).tolist())
     coarse, inf_coarse = _sigma((t, finite_fsum((f,), "a flux"), finite_fsum((b,), "a flux")) for t, f, b in fluxes)

@@ -248,6 +248,26 @@ def test_twin_demo_eta_out_of_range(capsys):
     assert run(["twin-demo", "--eta", "0.9"]) == 1
 
 
+@pytest.mark.parametrize(
+    "words",
+    [["--mu-r", "-1e-3"], ["--eta", "-5e-2"], ["--eps", "-1E0"], ["--mu-l", "-2.5e-1"], ["--temp", "1", "--mu-r", "-.5e0"]],
+)
+def test_a_negative_value_may_be_a_separate_word(words, tmp_path, capsys):
+    # argparse's own pattern reads -1e-3 as an option; the two-word form must give the = form's bytes
+    joined = [f"{flag}={value}" for flag, value in zip(words[::2], words[1::2])]
+    outputs = []
+    for k, flags in enumerate((words, joined)):
+        path = tmp_path / f"r{k}.json"
+        assert run(["twin-demo", *flags, "--json", str(path)]) == 0
+        outputs.append((capsys.readouterr().out, path.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_a_negative_step_in_exponent_notation_is_an_input_error(twin_model, capsys):
+    assert run(["analyze", twin_model, "--fd", "--fd-step", "-1e-3"]) == 1
+    assert "error: argument --fd-step: expected a number in (0, inf), got '-1e-3'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("eta", ["nan", "inf"])
 def test_twin_demo_non_finite_eta_is_an_input_error(eta, capsys):
     # NaN used to pass the range check and end in a traceback from Fraction
@@ -944,6 +964,9 @@ def flags_dir(tmp_path_factory):
 @example(drawn=("twin-demo", ["--eps=1e154", "--mu-l=1e154", "--mu-r=-1e154", "--temp=1e154", "--eta=-0.2"]))
 # the mean currents hold inf - inf
 @example(drawn=("twin-demo", ["--eps=1e300", "--mu-l=-1e300", "--mu-r=1e300", "--temp=1e300", "--gamma=1e10"]))
+# negative values in exponent notation, each its own word
+@example(drawn=("twin-demo", ["--mu-r", "-1e-3", "--eta", "-5e-2", "--eps", "-1E0"]))
+@example(drawn=("analyze", ["--fd", "--fd-step", "-1e-3"]))
 def test_cli_flags_never_raise(drawn, flags_dir):
     command, flags = drawn
     model = [] if command == "twin-demo" else [str(flags_dir / "twin.json")]

@@ -8,14 +8,17 @@ the tilt factors call np.exp, as the library does.  math.fsum is correctly
 rounded, so both must agree bit for bit, the sign of every zero included.
 ``reference_cumulants_fd`` is the per-point finite-difference loop (one
 tilted generator and one eigensolve per stencil point) that the stacked
-stencil of ``cumulants_fd`` replaced.  Every stacked tilted generator must
-equal the reference one bitwise and the first error must be the same; each
-Perron root must lie within 1e-12 max(1, max |M|) of the reference's
-``eigvals`` root, and means and noise must be bitwise what the per-point
-loop gives on the library's ``scgf``.  With the math.exp tilt the library
-used before, the FD cumulants of the benchmark models must stay within 1e-6
-of their scale, and so must they with ``newton_perron_roots``, the bordered
-Newton on every point that the library ran before its chord iteration.  The
+stencil of ``cumulants_fd`` replaced.  The stack adds each cell's terms in
+channel order, so every stacked tilted generator must equal
+``channel_order_tilted_generator`` bitwise and the first error must be the
+same; each Perron root must lie within 1e-12 max(1, max |M|) of that
+matrix's ``eigvals`` root, and means and noise must be bitwise what the
+per-point loop gives on the library's ``scgf``.  With the math.exp tilt
+the library used before, the FD cumulants of the benchmark models must
+stay within 1e-6 of their scale, and so must they with
+``newton_perron_roots``, the bordered Newton on every point that the
+library ran before its chord iteration, and with ``fsum_tilted_stack``,
+the fsum-exact stack it summed before it added in channel order.  The
 property tests check that rescaling every rate by a power of two rescales
 the generator exactly and leaves every verdict alone, and that no model
 document, however extreme its numbers, makes the CLI raise.
@@ -113,6 +116,19 @@ def reference_tilted_generator(net: ChannelNetwork, chi: Mapping[str, float]) ->
         off.setdefault((ch.to_state, ch.from_state), []).append(ch.rate * factor)
     for (i, j), terms in off.items():
         M[i, j] = math.fsum(terms)
+    return M
+
+
+def channel_order_tilted_generator(net: ChannelNetwork, chi: Mapping[str, float]) -> np.ndarray:
+    """The stack's tilt: from zero, rate * np.exp(chi . d) added channel by channel into
+    M[to, from], in channel order; the diagonal keeps the untilted escape rates."""
+    _check_fields(net, chi)
+    n = net.n_states
+    M = np.zeros((n, n))
+    with np.errstate(over="ignore"):  # a cell past the largest double reads inf
+        for ch, factor in zip(net.channels, _tilt_factors(net, chi)):
+            M[ch.to_state, ch.from_state] += ch.rate * factor
+    M[range(n), range(n)] = np.diag(reference_build_generator(net))
     return M
 
 
@@ -321,14 +337,14 @@ ROOT_BOUND = 1e-12  # |lam - eigvals| relative to max(1, max |M|)
 def assert_same_fd(net, h) -> bool:
     """Library and reference agree; True when both succeeded.
 
-    Errors and every tilted generator are bitwise the reference's, roots are
-    within ROOT_BOUND of the eigvals roots, and means and noise are bitwise
-    the per-point loop's on the library's ``scgf``.
+    Errors and every tilted generator are bitwise the channel-order
+    reference's, roots are within ROOT_BOUND of its eigvals roots, and means
+    and noise are bitwise the per-point loop's on the library's ``scgf``.
     """
     reference = {}
 
     def root(n, chi):
-        M = reference_tilted_generator(n, chi)
+        M = channel_order_tilted_generator(n, chi)
         lam = reference_root(M)
         reference[tuple(chi.items())] = M, lam
         return lam
@@ -485,6 +501,23 @@ def test_every_stencil_point_is_its_own_scgf(seed, h):
         assert abs(lam - eig) <= ROOT_BOUND * max(1.0, float(np.abs(M).max()))
 
 
+def test_scgf_is_the_root_of_the_exact_tilted_generator():
+    # scgf solves the channel-order stack, not the fsum-exact matrix of tilted_generator;
+    # its root must still lie within ROOT_BOUND of that matrix's eigvals root
+    rng = np.random.default_rng(20261022)
+    checked = 0
+    for _ in range(100):
+        net = fd_network(rng)
+        for _ in range(3):
+            chi = {rec: float(rng.normal(0, 0.3)) for rec in net.records if rng.random() < 0.7}
+            with contextlib.suppress(NumericalError):
+                M = tilted_generator(net, chi)
+                lam, eig = scgf(net, chi), fcs._dominant_eigenvalues(M[None])[0]
+                assert abs(lam - eig) <= ROOT_BOUND * max(1.0, float(np.abs(M).max()))
+                checked += 1
+    assert checked >= 250
+
+
 @pytest.mark.parametrize("seed", [14, 79])
 def test_the_chord_does_not_stop_on_one_ratio_of_steps(seed):
     # at h = 0.3 on these networks, stopping on size * rho / (1 - rho) <= 1 with rho the
@@ -619,6 +652,32 @@ def test_the_chord_moves_fd_cumulants_by_rounding_only(seed, monkeypatch):
         assert got[0] == want[0], name
         assert np.abs(got[1] - want[1]).max() <= 1e-6 * max(1.0, float(np.abs(want[1]).max())), name
         assert np.abs(got[2] - want[2]).max() <= 1e-6 * max(1.0, float(np.abs(want[2]).max())), name
+
+
+def fsum_tilted_stack(net: ChannelNetwork, exponents: np.ndarray) -> np.ndarray:
+    """The library's stack before it added in channel order: every row's totals by fsum."""
+    a, n = net.arrays, net.n_states
+    M = np.stack([a.transition_totals(row, n) for row in a.rate * fcs._tilt_factors(exponents)])
+    M[:, range(n), range(n)] = net.generator.matrix.diagonal()
+    return M
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_the_channel_order_stack_moves_fd_cumulants_by_rounding_only(seed, monkeypatch):
+    # a channel-order sum rounds after every term, fsum once per cell; that must not move
+    # the FD means or noise past 1e-6 of their scale
+    moved = 0
+    for name, doc in benchmark_models(seed).items():
+        net = load_network(doc)
+        got = fd_outcome(cumulants_fd, net, 1e-4)
+        with monkeypatch.context() as mp:
+            mp.setattr(fcs, "_tilted_stack", fsum_tilted_stack)
+            want = fd_outcome(cumulants_fd, net, 1e-4)
+        assert got[0] == want[0], name
+        assert np.abs(got[1] - want[1]).max() <= 1e-6 * max(1.0, float(np.abs(want[1]).max())), name
+        assert np.abs(got[2] - want[2]).max() <= 1e-6 * max(1.0, float(np.abs(want[2]).max())), name
+        moved += not bitwise_equal(got[2], want[2])
+    assert moved  # the two sums differ on some model
 
 
 def test_an_overflowing_stencil_is_screened_cell_by_cell():

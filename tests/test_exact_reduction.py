@@ -1,15 +1,14 @@
-"""The integer reduction of ``ChannelArrays.transition_totals`` is math.fsum bit for bit.
+"""``ChannelArrays.transition_totals`` is math.fsum bit for bit.
 
-A block of at least ``network._REDUCE_CELLS`` totals is summed by aligning
-every term's frexp mantissa to its transition's first term as an int64 and
-adding each transition at once; the rest of the library reads those totals
-as if math.fsum had summed them in grouped order (a total past the largest
-double reads inf).  Every result is compared with that reference by its
-bytes, over seeded blocks of groups of 1 to 8 terms chosen to hit every
-branch: near-equal terms as in the finite-difference stack, exponent
-spreads inside and beyond the 63-bit room, terms of size e^+-700, exact
-half-way ties, signed zeros, subnormals, inf and NaN, and sums that
-overflow, in between or at the end.  Warnings are errors throughout.
+It sums one row of E values per call, transition by transition, for
+``build_generator`` and ``tilted_generator``; the rest of the library reads
+those totals as if math.fsum had summed them in grouped order (a total past
+the largest double reads inf).  Every result is compared with that
+reference by its bytes, row by row, over seeded blocks of groups of 1 to 8
+terms: near-equal terms as in the finite-difference stack, exponent spreads
+of up to 72 binades, terms of size e^+-700, exact half-way ties, signed
+zeros, subnormals, inf and NaN, and sums that overflow, in between or at
+the end.  Warnings are errors throughout.
 """
 
 from __future__ import annotations
@@ -20,18 +19,18 @@ import warnings
 import numpy as np
 import pytest
 
-from chanjump import ChannelNetwork, TransitionChannel, build_generator, cumulants_fd, fcs, network
+from chanjump import ChannelNetwork, TransitionChannel
 from chanjump.network import ChannelArrays
 
 SIZES = (1, 2, 3, 4, 5, 6, 7, 8)
 ROWS = 640  # x 64 transitions: 40960 groups per case, 245760 over the six cases
 
 
-def _ring_network(n_states: int = 32, sizes=SIZES) -> ChannelNetwork:
-    """Ring of both orientations; transition t has sizes[t % len(sizes)] channels,
+def _ring_network(n_states: int = 32) -> ChannelNetwork:
+    """Ring of both orientations; transition t has SIZES[t % len(SIZES)] channels,
     added round-robin so that channel order interleaves the transitions."""
     pairs = [(i, (i + 1) % n_states) for i in range(n_states)] + [((i + 1) % n_states, i) for i in range(n_states)]
-    counts = [sizes[t % len(sizes)] for t in range(len(pairs))]
+    counts = [SIZES[t % len(SIZES)] for t in range(len(pairs))]
     channels = [
         TransitionChannel(a, b, f"r{copy}", 1.0)
         for copy in range(max(counts))
@@ -57,10 +56,11 @@ def _reference(values: np.ndarray, arrays: ChannelArrays) -> np.ndarray:
 
 
 def _totals(values: np.ndarray, net: ChannelNetwork = NET) -> np.ndarray:
+    """``transition_totals`` of every row of values, one row per call: K x E0."""
     a = net.arrays
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        M = a.transition_totals(values, net.n_states)
+        M = np.stack([a.transition_totals(row, net.n_states) for row in values])
     return M[:, a.pairs[:, 1], a.pairs[:, 0]]
 
 
@@ -74,7 +74,7 @@ def _case(name: str, rng) -> np.ndarray:
     if name == "near_equal":
         return rng.uniform(0.5, 1.5, E) * np.exp(1e-4 * rng.standard_normal(shape))
     if name == "spread":
-        # row k spreads its terms over k % 72 binades: inside the window and far beyond it
+        # row k spreads its terms over k % 72 binades
         spread = (np.arange(ROWS) % 72)[:, None]
         binade = np.floor(rng.random(shape) * (spread + 1))
         return _signs(rng, shape) * rng.uniform(1.0, 2.0, shape) * 2.0 ** (binade + rng.integers(-40, 40, (ROWS, 1)))
@@ -106,27 +106,7 @@ CASES = ("near_equal", "spread", "e700", "ties", "specials", "overflow")
 def test_reduction_is_fsum_bit_for_bit(case):
     rng = np.random.default_rng([20261019, CASES.index(case)])
     values = _case(case, rng)
-    assert len(values) * len(NET.transitions()) >= network._REDUCE_CELLS  # the reduction runs
     assert _totals(values).tobytes() == _reference(values, NET.arrays).tobytes()
-
-
-def test_the_cases_reach_both_paths(monkeypatch):
-    """Near-equal terms never leave the integer path; every other case sends
-    some totals to the fsum fallback and keeps others on the integer path."""
-    fallbacks = []
-    fsum = network._fsum
-    monkeypatch.setattr(network, "_fsum", lambda terms: fallbacks.append(1) or fsum(terms))
-    a = NET.arrays
-    for case in CASES:
-        block = _case(case, np.random.default_rng([20261019, CASES.index(case)]))[:, a.grouped]
-        fallbacks.clear()
-        a._exact_totals(block)
-        cells = block.shape[0] * len(a.spans)
-        if case == "near_equal":
-            assert not fallbacks
-        elif case != "ties":
-            assert 0 < len(fallbacks) < cells, case
-        assert len(fallbacks) < cells, case
 
 
 def test_half_way_ties_round_to_even():
@@ -134,9 +114,8 @@ def test_half_way_ties_round_to_even():
     pairs = ((0, 1), (1, 0), (1, 2), (2, 1))
     net = ChannelNetwork(("a", "b", "c"), tuple(TransitionChannel(a, b, "r", 1.0) for a, b in pairs for _ in "xy"), ())
     row = [1.0, 1.0 + one_ulp, 1.0, 1.0 + 3 * one_ulp, 1.0, 1.0 + 2 * one_ulp, 0.5, 0.5 + one_ulp / 2]
-    values = np.repeat([row], 40, axis=0)  # 160 totals: the reduction runs
     # 2 + 2^-52 ties down to 2, 2 + 3 2^-52 up to 2 + 4 2^-52, 2 + 2 2^-52 is exact, 1 + 2^-53 ties to 1
-    assert _totals(values, net).tolist() == [[2.0, 2.0 + 4 * one_ulp, 2.0 + 2 * one_ulp, 1.0]] * 40
+    assert _totals(np.array([row]), net).tolist() == [[2.0, 2.0 + 4 * one_ulp, 2.0 + 2 * one_ulp, 1.0]]
 
 
 def test_mixed_infinities_raise_as_fsum_does():
@@ -158,59 +137,3 @@ def test_an_intermediate_overflow_reads_inf_whatever_the_exact_sum():
     values[1, members] = [1e308, -1e308, 1e308]
     got = _totals(values)[:, 2]
     assert got[0] == math.inf and got[1] == 1e308
-
-
-def test_a_transition_of_more_than_512_channels_is_summed_by_fsum(monkeypatch):
-    # the int64 sum of 513 terms has no binade to spare: every such total goes to fsum
-    net = ChannelNetwork(("a", "b"), tuple(TransitionChannel(i % 2, 1 - i % 2, "r", 1.0) for i in range(1026)), ())
-    fallbacks = []
-    fsum = network._fsum
-    monkeypatch.setattr(network, "_fsum", lambda terms: fallbacks.append(len(terms)) or fsum(terms))
-    values = np.random.default_rng(3).uniform(0.5, 1.5, (80, net.n_channels))
-    assert _totals(values, net).tobytes() == _reference(values, net.arrays).tobytes()
-    assert fallbacks == [513] * 160
-
-
-def _fd_network() -> ChannelNetwork:
-    """12-state ring, four channels per transition, three records, seeded."""
-    rng = np.random.default_rng(11)
-    records = ("x", "y", "z")
-    channels = tuple(
-        TransitionChannel(ch.from_state, ch.to_state, ch.reservoir, float(rng.uniform(0.5, 1.5)),
-                          increments=dict(zip(records, rng.standard_normal(3).tolist())))
-        for ch in _ring_network(12, sizes=(4,)).channels
-    )
-    return ChannelNetwork(tuple(f"s{i}" for i in range(12)), channels, records)
-
-
-def _fd_outputs():
-    net = _fd_network()
-    hD = np.vstack([1e-4 * net.arrays.increments, np.zeros(net.n_channels)])
-    stack = fcs._tilted_stack(net, fcs._stencil_exponents(hD, fcs._stencil_points(3)))
-    fd = cumulants_fd(net)
-    return stack, build_generator(net).matrix, fd.noise, np.array(list(fd.means.values()))
-
-
-def test_blocks_on_both_sides_of_the_crossover_give_identical_stacks(monkeypatch):
-    a = NET.arrays
-    e0 = len(a.counts)
-    below = (network._REDUCE_CELLS - 1) // e0  # the most rows that stay on the loop
-    reduced_blocks = []
-    exact = ChannelArrays._exact_totals
-    monkeypatch.setattr(ChannelArrays, "_exact_totals", lambda self, block: reduced_blocks.append(len(block)) or exact(self, block))
-    rng = np.random.default_rng(7)
-    for K in (below, below + 1):
-        values = rng.uniform(0.5, 1.5, NET.n_channels) * np.exp(1e-4 * rng.standard_normal((K, NET.n_channels)))
-        stack = a.transition_totals(values, NET.n_states)
-        rows = np.stack([a.transition_totals(row, NET.n_states) for row in values])
-        assert stack.tobytes() == rows.tobytes()
-    assert reduced_blocks == [below + 1]  # single rows and the block below the crossover take the loop
-    monkeypatch.undo()
-
-    # the finite-difference stack, its means and noise, and the generator, summed either way
-    monkeypatch.setattr(network, "_REDUCE_CELLS", 1 << 62)
-    loop = _fd_outputs()
-    monkeypatch.setattr(network, "_REDUCE_CELLS", 1)
-    reduced = _fd_outputs()
-    for x, y in zip(loop, reduced):
-        assert x.tobytes() == y.tobytes()
